@@ -4,22 +4,25 @@
 //
 //  1. skew      — wave-completion skew of the straggler workload (raw
 //                 shuffle, tightly clustered 5d data, one wave of
-//                 as-many-groups-as-slots) under static splits vs morsel
-//                 scheduling + run collapse. Acceptance: >= 2x reduction
-//                 with bit-identical skylines.
-//  2. end_to_end — the bench_hotpath 500k x 8d pipeline with morsel
-//                 scheduling on vs off. The scheduler must not tax the
-//                 balanced case: check.sh gates sched_ms against
+//                 as-many-groups-as-slots) with the map and reduce morsel
+//                 targets at 0 ("static": no map morsels, no run
+//                 collapse) vs their defaults. Acceptance: >= 2x
+//                 reduction with bit-identical skylines.
+//  2. end_to_end — the bench_hotpath 500k x 8d pipeline with the morsel
+//                 targets at 0 vs their defaults. The scheduler must not
+//                 tax the balanced case: check.sh gates sched_ms against
 //                 BENCH_hotpath.json's hotpath_ms.
 //  3. planner   — ChoosePlan's predicted vs measured stage times on two
 //                 contrasting datasets (the adaptive-serving feedback
-//                 signal, before any calibration).
+//                 signal, before any calibration), checked against the
+//                 BNL oracle.
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 
+#include "algo/bnl.h"
 #include "bench_util.h"
 #include "common/stopwatch.h"
 #include "core/planner.h"
@@ -33,6 +36,14 @@ namespace {
 constexpr int kReps = 3;
 // Simulated cluster slots for the wave-completion skew.
 constexpr uint32_t kSimWorkers = 8;
+
+// The static arm: no map morsels and no reduce-side run collapse, so each
+// split and each group runs as one task.
+ExecutorOptions WithoutMorsels(ExecutorOptions options) {
+  options.map_morsel_rows = 0;
+  options.reduce_morsel_records = 0;
+  return options;
+}
 
 template <typename Fn>
 double BestMs(const Fn& fn, int reps = kReps) {
@@ -72,15 +83,14 @@ SkewResult BenchSkew(const PointSet& points, PartitioningScheme scheme) {
   base.enable_combiner = false;
   base.reduce_morsel_records = 2048;
 
-  // Serial best-of-kReps runs give clean per-task work times; the skew
-  // schedules them onto the simulated cluster (see bench_skew_stragglers).
+  // Best-of-kReps runs on a 1-thread pool give clean per-task work times;
+  // the skew schedules them onto the simulated cluster (see
+  // bench_skew_stragglers).
   SkewResult result;
   SkylineIndices static_skyline;
   SkylineIndices morsel_skyline;
   auto measure = [&](bool morsels, SkylineIndices& skyline) {
-    ExecutorOptions serial = base;
-    serial.morsel_scheduling = morsels;
-    serial.reuse_worker_pool = false;
+    ExecutorOptions serial = morsels ? base : WithoutMorsels(base);
     serial.num_threads = 1;
     double best = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
@@ -106,7 +116,7 @@ SkewResult BenchSkew(const PointSet& points, PartitioningScheme scheme) {
 }
 
 // --- 2. End-to-end guard: bench_hotpath's full-speed 500k x 8d pipeline,
-// morsel scheduling on vs off. ---
+// morsel targets at their defaults vs 0. ---
 ExecutorOptions HotOptions(bool morsels) {
   ExecutorOptions options;
   options.bits = kBits;
@@ -116,12 +126,8 @@ ExecutorOptions HotOptions(bool morsels) {
   options.num_groups = 8;
   options.num_map_tasks = 16;
   options.num_threads = 4;
-  options.reuse_worker_pool = true;
-  options.parallel_shuffle = true;
   options.use_block_kernel = true;
-  options.zero_copy_shuffle = true;
-  options.morsel_scheduling = morsels;
-  return options;
+  return morsels ? options : WithoutMorsels(options);
 }
 
 struct EndToEnd {
@@ -194,10 +200,7 @@ PlannerResult BenchPlanner(const char* name, const PointSet& points) {
   }
   result.actual_ms = best;
   // The chosen plan must still be exact.
-  ExecutorOptions reference = base;
-  reference.morsel_scheduling = false;
-  result.identical =
-      skyline == ParallelSkylineExecutor(reference).Execute(points).skyline;
+  result.identical = skyline == BnlSkyline(points);
   return result;
 }
 

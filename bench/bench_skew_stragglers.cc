@@ -81,8 +81,9 @@ void RunDataset(const char* name, const PointSet& points, bool map_combine,
 
     // End-to-end run with the matching executor strategy for task-time
     // spread (the actual straggler effect). Ablation: the same query with
-    // static splits (morsel_scheduling off) vs morsel-driven stealing —
-    // the skylines must be bit-identical, only the schedule may differ.
+    // the morsel targets at 0 (static: no map morsels, no run collapse)
+    // vs morsel-driven splits and collapse — the skylines must be
+    // bit-identical, only the schedule may differ.
     Strategy s{label,
                label == "grid"    ? PartitioningScheme::kGrid
                : label == "angle" ? PartitioningScheme::kAngle
@@ -95,19 +96,21 @@ void RunDataset(const char* name, const PointSet& points, bool map_combine,
     // bench's 100k scale (the 8192-record default is tuned for millions).
     morsel_options.reduce_morsel_records = 2048;
     morsel_options.enable_combiner = map_combine;
-    // Skew arms run serially (one thread, no pool): per-task times are
-    // then clean work measurements, and ReduceCompletionSkew schedules
-    // them onto the simulated kSimWorkers-slot cluster. Running them
-    // under the host's oversubscribed thread pool instead would measure
-    // preemption noise, not load balance.
+    // Skew arms run on a 1-thread pool: per-task times are then clean
+    // work measurements, and ReduceCompletionSkew schedules them onto the
+    // simulated kSimWorkers-slot cluster. Running them under the host's
+    // oversubscribed thread pool instead would measure preemption noise,
+    // not load balance.
     // Best-of-3 reps per arm (cf. BestMs): sub-millisecond tasks pick up
     // scheduler jitter even when run serially, and the minimum skew is the
     // run least polluted by it.
     constexpr int kReps = 3;
     auto measure = [&](bool morsels, double& best_skew) {
       ExecutorOptions serial = morsel_options;
-      serial.morsel_scheduling = morsels;
-      serial.reuse_worker_pool = false;
+      if (!morsels) {
+        serial.map_morsel_rows = 0;
+        serial.reduce_morsel_records = 0;
+      }
       serial.num_threads = 1;
       SkylineQueryResult result;
       best_skew = 0.0;

@@ -24,11 +24,12 @@
 # >=2x straggler-skew reduction — and fails if the scheduled end-to-end
 # time regresses >10% over the committed BENCH_hotpath.json baseline.
 #
-# `scripts/check.sh shuffle` runs the zero-copy shuffle parity matrix
-# (columnar vs legacy record path x spill modes x combiner x retries)
-# under BOTH AddressSanitizer and ThreadSanitizer, then benchmarks the
-# record path in Release and fails on a >10% records/sec regression
-# against the committed BENCH_shuffle.json baseline.
+# `scripts/check.sh shuffle` runs the zero-copy shuffle parity matrices
+# (record path vs an in-test reference, and the pipeline vs the BNL
+# oracle, each across spill modes x combiner x retries) under BOTH
+# AddressSanitizer and ThreadSanitizer, then benchmarks the record path
+# in Release and fails on a >10% records/sec regression against the
+# committed BENCH_shuffle.json baseline.
 #
 # `scripts/check.sh queries` exercises the QueryDesc variant surface
 # (constrained / subspace / k-skyband, docs/queries.md): the full
@@ -90,7 +91,7 @@ if [ "${1:-}" = "tsan" ]; then
   cmake --build build-tsan --target mapreduce_test executor_test \
         query_service_test fuzz_test
   ctest --test-dir build-tsan --output-on-failure \
-        -R 'WorkerPool|MapReduceJob|TaskRunner|Executor|Pipeline|QueryService'
+        -R 'WorkerPool|MapReduceJob|Executor|Pipeline|QueryService'
   echo "TSAN CHECKS PASSED"
   exit 0
 fi

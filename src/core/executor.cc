@@ -10,15 +10,13 @@
 namespace zsky {
 
 ParallelSkylineExecutor::ParallelSkylineExecutor(const ExecutorOptions& options)
-    : options_(options) {
+    : options_(options),
+      pool_(std::make_unique<mr::WorkerPool>(options.num_threads)) {
   ZSKY_CHECK(options.num_groups >= 1);
   ZSKY_CHECK(options.expansion >= 1);
   ZSKY_CHECK(options.num_map_tasks >= 1);
   ZSKY_CHECK(options.sample_ratio > 0.0 && options.sample_ratio <= 1.0);
   ZSKY_CHECK(options.bits >= 1 && options.bits <= 32);
-  if (options_.reuse_worker_pool) {
-    pool_ = std::make_unique<mr::WorkerPool>(options_.num_threads);
-  }
 }
 
 SkylineQueryResult ParallelSkylineExecutor::Execute(

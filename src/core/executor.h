@@ -151,8 +151,7 @@ class ParallelSkylineExecutor {
  private:
   ExecutorOptions options_;
   // Persistent worker pool shared by both MR jobs and the final merge of
-  // every Execute() call (created once; null when reuse_worker_pool is
-  // off, in which case jobs spawn threads per wave like the seed did).
+  // every Execute() call (created once with the executor).
   std::unique_ptr<mr::WorkerPool> pool_;
 };
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -42,9 +43,15 @@ enum class MergeAlgorithm {
                     // single-reducer bottleneck.
 };
 
+// Short names ("zdg", "zs", "zm", ...) used by labels and the CLI. The
+// ...FromName inverses return nullopt for an unknown name.
 std::string_view PartitioningSchemeName(PartitioningScheme s);
 std::string_view LocalAlgorithmName(LocalAlgorithm a);
 std::string_view MergeAlgorithmName(MergeAlgorithm m);
+std::optional<PartitioningScheme> PartitioningSchemeFromName(
+    std::string_view name);
+std::optional<LocalAlgorithm> LocalAlgorithmFromName(std::string_view name);
+std::optional<MergeAlgorithm> MergeAlgorithmFromName(std::string_view name);
 
 // Configuration of the three-phase parallel skyline pipeline.
 struct ExecutorOptions {
@@ -79,12 +86,6 @@ struct ExecutorOptions {
 
   // --- Hot-path controls. All default on; turning one off restores the
   // corresponding seed behavior (useful for ablation benchmarks). ---
-  // One persistent worker pool per executor, shared by job 1, job 2 and
-  // the final merge. Off = spawn-and-join threads per wave.
-  bool reuse_worker_pool = true;
-  // Reducers pull their shuffle slices concurrently on the pool. Off =
-  // single-threaded shuffle.
-  bool parallel_shuffle = true;
   // Structure-of-arrays block dominance kernel in the local skylines and
   // the ZB-tree leaf scans. Off = per-pair scalar Dominates().
   bool use_block_kernel = true;
@@ -94,16 +95,6 @@ struct ExecutorOptions {
   // SZB-tree walk for every mapped point (the PR-1 behavior). Only
   // effective together with use_block_kernel.
   bool batch_szb_filter = true;
-  // Zero-copy columnar record path through both MR jobs (chunked arenas,
-  // counting-sort grouping, span-based reduce). Off = the seed record
-  // path (std::function emit, vector-of-pairs buckets, unordered_map
-  // regroup) — the ablation baseline bench_shuffle measures against.
-  bool zero_copy_shuffle = true;
-  // Morsel-driven work-stealing waves (docs/scheduling.md): per-slot
-  // morsel queues with steal-from-random-victim on the worker pool. Off =
-  // static chunked claiming from one shared counter (the PR-4 behavior) —
-  // the ablation baseline bench_sched measures against.
-  bool morsel_scheduling = true;
   // Columnar-direct map wave (docs/storage.md): when the dataset view
   // exposes a uniform-stride SoA span (`.zsc` backings) and the query is
   // a plain full-space skyline, job 1's SZB filter runs the

@@ -370,6 +370,7 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
   if (!options.readahead) points.DisarmPrefetch();
   CandidateList candidates;
   if (points.empty()) return candidates;
+  ZSKY_CHECK(pool != nullptr);
   ZSKY_CHECK(plan.partitioner != nullptr);
   ZSKY_CHECK(plan.dim == points.dim());
 
@@ -431,7 +432,7 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
   }
 
   size_t num_map_tasks = std::min<size_t>(options.num_map_tasks, n);
-  if (options.morsel_scheduling && options.map_morsel_rows > 0) {
+  if (options.map_morsel_rows > 0) {
     // Map morselization: widen the wave so no split exceeds
     // ~map_morsel_rows rows. A function of the data size only, so the
     // split layout (and every work counter downstream of it) is identical
@@ -448,19 +449,10 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
 
   typename mr::MapReduceJob<uint32_t>::Options job1_options;
   job1_options.num_reduce_tasks = partitioner.num_groups();
-  job1_options.num_threads = options.num_threads;
   job1_options.pool = pool;
-  job1_options.spawn_per_wave = !options.reuse_worker_pool;
-  job1_options.parallel_shuffle = options.parallel_shuffle;
-  job1_options.legacy_record_path = !options.zero_copy_shuffle;
-  job1_options.morsel_scheduling = options.morsel_scheduling;
   // Job 1's combiner (a group-local skyline/band) is idempotent, so
-  // oversized reducer runs may legally be pre-collapsed in slices. The
-  // collapse is part of the morsel subsystem: turning morsel_scheduling
-  // off yields the true static-split baseline (the ablation arm in
-  // bench_skew_stragglers).
-  job1_options.reduce_morsel_records =
-      options.morsel_scheduling ? options.reduce_morsel_records : 0;
+  // oversized reducer runs may legally be pre-collapsed in slices.
+  job1_options.reduce_morsel_records = options.reduce_morsel_records;
   job1_options.spill_to_disk = options.spill_to_disk;
   job1_options.shuffle_memory_budget_bytes =
       options.shuffle_memory_budget_bytes;
@@ -781,6 +773,7 @@ SkylineIndices RunMergeJob(const PreparedPlan& plan,
   DatasetView points = points_in;
   if (!options.readahead) points.DisarmPrefetch();
   if (points.empty()) return {};
+  ZSKY_CHECK(pool != nullptr);
   ZSKY_CHECK(plan.dim == points.dim());
 
   ZSKY_TRACE_SPAN_ARGS(
@@ -821,12 +814,7 @@ SkylineIndices RunMergeJob(const PreparedPlan& plan,
 
   typename mr::MapReduceJob<Candidate>::Options job2_options;
   job2_options.num_reduce_tasks = merge_reducers;
-  job2_options.num_threads = options.num_threads;
   job2_options.pool = pool;
-  job2_options.spawn_per_wave = !options.reuse_worker_pool;
-  job2_options.parallel_shuffle = options.parallel_shuffle;
-  job2_options.legacy_record_path = !options.zero_copy_shuffle;
-  job2_options.morsel_scheduling = options.morsel_scheduling;
   job2_options.spill_to_disk = options.spill_to_disk;
   // Fold job 2's candidate-side working set (reduce-time gathers + merge
   // trees, roughly two point copies and a row id per candidate) under the
@@ -980,25 +968,14 @@ SkylineIndices RunMergeJob(const PreparedPlan& plan,
       }
     } else {
       std::vector<std::unique_ptr<ZBTree>> partial_trees(partials.size());
-      if (pool != nullptr && partials.size() > 1) {
-        pool->Run(partials.size(), [&](size_t i) {
-          if (partials[i].empty()) return;
-          const PointSet partial_points =
-              GatherTransformed(points, partials[i], v, max_coord);
-          partial_trees[i] = std::make_unique<ZBTree>(
-              &codec, partial_points, std::move(partials[i]),
-              plan.tree_options);
-        });
-      } else {
-        for (size_t i = 0; i < partials.size(); ++i) {
-          if (partials[i].empty()) continue;
-          const PointSet partial_points =
-              GatherTransformed(points, partials[i], v, max_coord);
-          partial_trees[i] = std::make_unique<ZBTree>(
-              &codec, partial_points, std::move(partials[i]),
-              plan.tree_options);
-        }
-      }
+      pool->Run(partials.size(), [&](size_t i) {
+        if (partials[i].empty()) return;
+        const PointSet partial_points =
+            GatherTransformed(points, partials[i], v, max_coord);
+        partial_trees[i] = std::make_unique<ZBTree>(
+            &codec, partial_points, std::move(partials[i]),
+            plan.tree_options);
+      });
       std::vector<const ZBTree*> tree_ptrs;
       for (const auto& tree : partial_trees) {
         if (tree != nullptr) tree_ptrs.push_back(tree.get());

@@ -31,8 +31,8 @@ using CandidateList = std::vector<std::pair<int32_t, uint32_t>>;
 // algorithm, combiner, retry policy, simulated-cluster model). Its
 // plan-shaping fields must match `plan.options` — reusing a plan under a
 // different partitioning scheme, group count, or bit width is undefined.
-// `pool` may be null; then jobs follow options.reuse_worker_pool (own pool
-// vs spawn-per-wave, the legacy ablation path).
+// Every wave of both jobs runs on `pool`, the caller's persistent pool;
+// it must not be null.
 //
 // `points` is a DatasetView: heap PointSets convert implicitly and take
 // the exact pre-view code path (zero-copy row blocks), while mmap'd

@@ -184,9 +184,9 @@ std::pair<double, double> PriceCandidate(const ExecutorOptions& cand,
                                               : cal.map_us_per_record * 0.3;
   const double map_us = nd * probe / std::max(1u, slots);
 
-  // Reduce wave: local skylines per group. The sample's group shares give
-  // both the total and the straggler group's cost. Beyond the measured
-  // largest group, assume the remaining mass spreads evenly.
+  // Reduce wave: local skylines per group, priced from the sample's group
+  // shares. Beyond the measured largest group, assume the remaining mass
+  // spreads evenly.
   const double max_f = std::clamp(est.max_group_fraction, 0.0, 1.0);
   const double rest_f =
       groups > 1 ? (1.0 - max_f) / static_cast<double>(groups - 1) : 0.0;
@@ -204,13 +204,9 @@ std::pair<double, double> PriceCandidate(const ExecutorOptions& cand,
     reduce_total_us +=
         static_cast<double>(groups - 1) * local_cost_us(rest_f * shuffled);
   }
-  const double straggler_us = local_cost_us(max_f * shuffled);
-  const double balanced_us = reduce_total_us / std::max(1u, slots);
   // Morsel scheduling lets idle slots drain the straggler group, so the
-  // wave finishes at the balanced time; static splits wait for it.
-  const double reduce_us = cand.morsel_scheduling
-                               ? balanced_us
-                               : std::max(straggler_us, balanced_us);
+  // wave finishes at the balanced time.
+  const double reduce_us = reduce_total_us / std::max(1u, slots);
 
   // Merge job: one pass over the candidates.
   double merge_us;

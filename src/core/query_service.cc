@@ -45,9 +45,6 @@ QueryService::SnapshotBase::~SnapshotBase() {
 QueryService::QueryService(const QueryServiceOptions& options)
     : options_(options), pool_(options.executor.num_threads) {
   ZSKY_CHECK(options_.max_in_flight >= 1);
-  // The service owns the one pool every query runs on; the pipeline must
-  // use it (spawn-per-wave is the legacy single-shot ablation path).
-  options_.executor.reuse_worker_pool = true;
   if (!options_.calibration_file.empty()) {
     // Best-effort warm start: a missing or malformed file is a cold start,
     // not an error (first run, wiped state dir).

@@ -41,8 +41,8 @@ struct QueryRequest {
 };
 
 struct QueryServiceOptions {
-  // Plan + default pipeline configuration. reuse_worker_pool is forced on:
-  // the service owns the one pool every query runs on.
+  // Plan + default pipeline configuration. The service owns the one pool
+  // every query runs on.
   ExecutorOptions executor;
   // Bounded admission: at most this many Query() calls are in flight at
   // once; excess callers block until a slot frees. This caps the queue in

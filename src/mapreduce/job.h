@@ -12,7 +12,6 @@
 #include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "common/trace.h"
 #include "mapreduce/metrics.h"
 #include "mapreduce/record_buffer.h"
-#include "mapreduce/task_runner.h"
 #include "mapreduce/worker_pool.h"
 
 namespace zsky::mr {
@@ -63,18 +61,16 @@ inline uint64_t NextSpillFileId() {
 //       [&](int32_t k, std::span<const V> vs) { ... });             // reduce
 //
 // Reducers see each key's values in task-major order (split 0's records
-// first, in emit order), and keys in ascending order. The legacy record
-// path (Options::legacy_record_path, also the automatic fallback for
-// value types that are not trivially copyable) reproduces the seed
-// engine: std::function emit into vector-of-pairs buckets and
-// unordered_map regrouping — kept as the ablation baseline bench_shuffle
-// and the parity tests compare against.
+// first, in emit order), and keys in ascending order. V must be trivially
+// copyable: records move through arenas and spill files as raw bytes.
+//
+// Every wave — map, shuffle pull, collapse, reduce — runs on one
+// WorkerPool with morsel-driven work stealing (docs/scheduling.md).
 //
 // Thread-safety contract: MapFn runs concurrently across splits (emit is
 // task-local). CombineFn runs concurrently across map tasks. ReduceFn runs
 // concurrently across keys; it must synchronize its own output sink.
-// SizeFn runs concurrently across reducers when the parallel shuffle is
-// active.
+// SizeFn runs concurrently across reducers during the shuffle pull.
 template <typename V>
 class MapReduceJob {
  public:
@@ -94,20 +90,9 @@ class MapReduceJob {
     // Persistent pool to run the waves and the shuffle on, shared across
     // jobs (one per executor). When null, the job creates its own pool,
     // reused across its map wave, shuffle and reduce wave. Not owned.
+    // Steal accounting of the map, collapse and reduce waves lands in
+    // JobMetrics::{morsels_total, tasks_stolen}.
     WorkerPool* pool = nullptr;
-    // Legacy spawn-and-join-threads-per-wave execution (the seed
-    // behavior), kept for benchmarking against the pool. When set, `pool`
-    // is ignored and the shuffle runs serially.
-    bool spawn_per_wave = false;
-    // Reducers pull their own bucket slices concurrently on the pool
-    // instead of one thread regrouping everything.
-    bool parallel_shuffle = true;
-    // Morsel-driven scheduling (docs/scheduling.md): when running on a
-    // pool, waves execute with per-slot morsel queues and
-    // steal-from-random-victim (WorkerPool::RunStealing) instead of
-    // chunked claiming from one shared counter. Per-wave steal accounting
-    // lands in JobMetrics::{morsels_total, tasks_stolen}.
-    bool morsel_scheduling = true;
     // When > 0 (and the job has a combiner), grouped runs whose length
     // exceeds max(2 * reduce_morsel_records, 2 * mean run length) are
     // pre-collapsed before the reduce wave: the run is cut into
@@ -118,11 +103,6 @@ class MapReduceJob {
     // (map side and reduce side); leave 0 for combiners that must run at
     // most once per key (e.g. non-idempotent aggregates).
     size_t reduce_morsel_records = 0;
-    // Seed record path (std::function emit, vector-of-pairs buckets,
-    // unordered_map regroup) instead of the columnar zero-copy path.
-    // Ablation baseline; value types that are not trivially copyable use
-    // it regardless.
-    bool legacy_record_path = false;
     // Optional record count of split `i`, used to fill the map tasks'
     // TaskMetrics::records_in (left zero when absent — the engine cannot
     // see into opaque splits).
@@ -130,9 +110,9 @@ class MapReduceJob {
 
     // --- Disk-backed shuffle (Hadoop-style spill). ---
     // When true, every map task's output is written to a spill file and
-    // freed from memory; the shuffle reads the files back. Requires a
-    // trivially copyable V. Adds real disk I/O to the measured times (the
-    // paper's intermediate-data disk overhead).
+    // freed from memory; the shuffle reads the files back. Adds real disk
+    // I/O to the measured times (the paper's intermediate-data disk
+    // overhead).
     bool spill_to_disk = false;
     // When > 0 and spill_to_disk is off: memory budget for buffered map
     // output, accounted at chunk CAPACITY (what the arenas actually pin,
@@ -156,19 +136,13 @@ class MapReduceJob {
         failure_injector;
   };
 
-  // Type-erased emit of the legacy record path. The columnar path passes
-  // a concrete Emitter instead; map functors should take `auto& emit`.
-  using Emit = std::function<void(int32_t key, V value)>;
-
   explicit MapReduceJob(const Options& options) : options_(options) {
     ZSKY_CHECK(options.num_reduce_tasks >= 1);
-    if (!options_.spawn_per_wave) {
-      if (options_.pool != nullptr) {
-        pool_ = options_.pool;
-      } else {
-        owned_pool_ = std::make_unique<WorkerPool>(options_.num_threads);
-        pool_ = owned_pool_.get();
-      }
+    if (options_.pool != nullptr) {
+      pool_ = options_.pool;
+    } else {
+      owned_pool_ = std::make_unique<WorkerPool>(options_.num_threads);
+      pool_ = owned_pool_.get();
     }
   }
 
@@ -181,12 +155,9 @@ class MapReduceJob {
             typename SizeFn = std::nullptr_t>
   JobMetrics Run(size_t num_splits, MapFn&& map, CombineFn&& combine,
                  ReduceFn&& reduce, SizeFn&& size_of = nullptr) {
-    if constexpr (std::is_trivially_copyable_v<V>) {
-      if (!options_.legacy_record_path) {
-        return RunColumnar(num_splits, map, combine, reduce, size_of);
-      }
-    }
-    return RunLegacy(num_splits, map, combine, reduce, size_of);
+    static_assert(std::is_trivially_copyable_v<V>,
+                  "MapReduceJob values move as raw bytes");
+    return RunColumnar(num_splits, map, combine, reduce, size_of);
   }
 
  private:
@@ -277,10 +248,6 @@ class MapReduceJob {
     }
     return spill;
   }
-
-  // ===================================================================
-  // Columnar zero-copy record path.
-  // ===================================================================
 
   // Concrete emitter: appends straight into the task's per-reducer
   // arenas. No virtual dispatch, no std::function — with a templated map
@@ -469,10 +436,10 @@ class MapReduceJob {
     // --- Shuffle: every reducer pulls its arena slices (and spill-file
     // sections), groups them by counting sort, and keeps the grouped
     // storage for its reduce task to read as spans. Slices are disjoint,
-    // so the parallel pull needs no locking. ---
+    // so the concurrent pull needs no locking. The pull wave stays out of
+    // the steal accounting, which covers the map, collapse and reduce
+    // waves only. ---
     Stopwatch shuffle_watch;
-    const bool parallel_shuffle =
-        options_.parallel_shuffle && pool_ != nullptr && r > 1;
     auto pull_reducer = [&](size_t reducer) {
       ZSKY_TRACE_SPAN_ARGS("mr.shuffle_pull",
                            "{\"reducer\":" + std::to_string(reducer) + "}");
@@ -520,17 +487,9 @@ class MapReduceJob {
       }
     };
     {
-      ZSKY_TRACE_SPAN_ARGS(
-          "mr.shuffle", "{\"reducers\":" + std::to_string(r) +
-                            ",\"parallel\":" +
-                            (parallel_shuffle ? "true}" : "false}"));
-      if (parallel_shuffle) {
-        pool_->Run(r, pull_reducer);
-      } else {
-        for (uint32_t reducer = 0; reducer < r; ++reducer) {
-          pull_reducer(reducer);
-        }
-      }
+      ZSKY_TRACE_SPAN_ARGS("mr.shuffle",
+                           "{\"reducers\":" + std::to_string(r) + "}");
+      pool_->Run(r, pull_reducer);
     }
     for (uint32_t reducer = 0; reducer < r; ++reducer) {
       metrics.shuffle_records += reduce_state_[reducer].records;
@@ -773,283 +732,26 @@ class MapReduceJob {
     std::fclose(file);
   }
 
-  // ===================================================================
-  // Legacy record path (the seed engine): std::function emit,
-  // vector-of-pairs buckets, unordered_map regroup, interleaved spill
-  // records. The ablation baseline the zero-copy path is measured
-  // against; also the fallback for non-trivially-copyable values.
-  // ===================================================================
-
-  template <typename MapFn, typename CombineFn, typename ReduceFn,
-            typename SizeFn>
-  JobMetrics RunLegacy(size_t num_splits, MapFn& map, CombineFn& combine,
-                       ReduceFn& reduce, SizeFn& size_of) {
-    JobMetrics metrics;
-    Stopwatch total_watch;
-    const uint32_t r = options_.num_reduce_tasks;
-    AttemptGate gate(options_, std::max<size_t>(num_splits, r));
-
-    // --- Map wave: each task fills its own per-reducer buckets. ---
-    // buckets[task][reducer] -> (key, value) records.
-    std::vector<std::vector<std::vector<std::pair<int32_t, V>>>> buckets(
-        num_splits);
-    std::vector<size_t> map_in(num_splits, 0);
-    std::vector<size_t> map_out(num_splits, 0);
-    std::vector<size_t> comb_in(num_splits, 0);
-    std::vector<size_t> comb_out(num_splits, 0);
-
-    Stopwatch map_watch;
-    metrics.map_tasks = RunWave("mr.map_wave", num_splits, [&](size_t task) {
-      ZSKY_TRACE_SPAN_ARGS("mr.map_task",
-                           "{\"task\":" + std::to_string(task) + "}");
-      if (!gate.Admit(Wave::kMap, task)) return;
-      if (options_.split_size != nullptr) {
-        map_in[task] = options_.split_size(task);
-      }
-      auto& task_buckets = buckets[task];
-      task_buckets.resize(r);
-      size_t emitted = 0;
-      const Emit emit = [&](int32_t key, V value) {
-        if (key < 0) return;  // Dropped record (pruned partition).
-        ++emitted;
-        task_buckets[static_cast<uint32_t>(key) % r].emplace_back(
-            key, std::move(value));
-      };
-      map(task, emit);
-      map_out[task] = emitted;
-
-      if constexpr (!kIsNull<CombineFn>) {
-        if (options_.enable_combiner) {
-          for (auto& bucket : task_buckets) {
-            std::unordered_map<int32_t, std::vector<V>> grouped;
-            for (auto& [key, value] : bucket) {
-              grouped[key].push_back(std::move(value));
-            }
-            bucket.clear();
-            for (auto& [key, values] : grouped) {
-              comb_in[task] += values.size();
-              const size_t before = bucket.size();
-              combine(key, std::span<const V>(values), [&](V value) {
-                bucket.emplace_back(key, std::move(value));
-              });
-              comb_out[task] += bucket.size() - before;
-            }
-          }
-        }
-      }
-    }, metrics);
-    metrics.map_wall_ms = map_watch.ElapsedMs();
-    gate.Harvest(num_splits, metrics);
-    for (size_t task = 0; task < num_splits; ++task) {
-      metrics.map_tasks[task].records_in = map_in[task];
-      metrics.map_tasks[task].records_out = map_out[task];
-      metrics.combiner_in += comb_in[task];
-      metrics.combiner_out += comb_out[task];
-    }
-
-    // --- Optional disk spill: write map outputs out, free memory. ---
-    std::vector<std::string> spill_paths(num_splits);
-    std::vector<uint8_t> spilled(num_splits, 0);
-    std::vector<std::vector<uint64_t>> spill_counts(num_splits);
-    const SpillFileGuard spill_guard{&spill_paths};
-    if (options_.spill_to_disk || options_.shuffle_memory_budget_bytes > 0) {
-      if constexpr (std::is_trivially_copyable_v<V>) {
-        std::vector<size_t> task_bytes(num_splits, 0);
-        for (size_t task = 0; task < num_splits; ++task) {
-          for (const auto& bucket : buckets[task]) {
-            task_bytes[task] +=
-                bucket.size() * (sizeof(std::pair<int32_t, V>));
-          }
-        }
-        spilled = ChooseSpills(task_bytes);
-        for (size_t task = 0; task < num_splits; ++task) {
-          if (!spilled[task]) continue;
-          spill_paths[task] = SpillLegacy(task, buckets[task],
-                                          spill_counts[task], metrics);
-          buckets[task].clear();
-          buckets[task].shrink_to_fit();
-          ++metrics.spilled_tasks;
-        }
-      } else {
-        ZSKY_CHECK_MSG(false,
-                       "spill_to_disk requires a trivially copyable value");
-      }
-    }
-
-    // --- Shuffle: regroup records by reducer, count traffic. With a pool,
-    // every reducer pulls its own bucket slice (or spill-file section)
-    // concurrently; the slices are disjoint, so no locking is needed. ---
-    Stopwatch shuffle_watch;
-    std::vector<std::unordered_map<int32_t, std::vector<V>>> reducer_input(r);
-    const bool parallel_shuffle =
-        options_.parallel_shuffle && pool_ != nullptr && r > 1;
-    std::vector<size_t> pulled_records(r, 0);
-    std::vector<size_t> pulled_bytes(r, 0);
-    std::vector<size_t> copied_bytes(r, 0);
-    auto record_cost = [&](const V& value) {
-      if constexpr (!kIsNull<SizeFn>) {
-        return options_.record_overhead_bytes + size_of(value);
-      } else {
-        (void)value;
-        return options_.record_overhead_bytes + sizeof(V);
-      }
-    };
-    auto pull_reducer = [&](size_t reducer) {
-      ZSKY_TRACE_SPAN_ARGS("mr.shuffle_pull",
-                           "{\"reducer\":" + std::to_string(reducer) + "}");
-      auto& input = reducer_input[reducer];
-      auto pull_one = [&](int32_t key, V value) {
-        ++pulled_records[reducer];
-        pulled_bytes[reducer] += record_cost(value);
-        copied_bytes[reducer] += sizeof(V);
-        input[key].push_back(std::move(value));
-      };
-      for (size_t task = 0; task < num_splits; ++task) {
-        if (spilled[task]) {
-          if constexpr (std::is_trivially_copyable_v<V>) {
-            ReadLegacySpillSection(spill_paths[task], spill_counts[task],
-                                   static_cast<uint32_t>(reducer), pull_one);
-            copied_bytes[reducer] +=
-                spill_counts[task].empty()
-                    ? 0
-                    : spill_counts[task][reducer] * kSpillRecordBytes;
-          }
-        } else {
-          if (buckets[task].empty()) continue;
-          for (auto& [key, value] : buckets[task][reducer]) {
-            pull_one(key, std::move(value));
-          }
-        }
-      }
-    };
-    {
-      ZSKY_TRACE_SPAN_ARGS(
-          "mr.shuffle", "{\"reducers\":" + std::to_string(r) +
-                            ",\"parallel\":" +
-                            (parallel_shuffle ? "true}" : "false}"));
-      if (parallel_shuffle) {
-        pool_->Run(r, pull_reducer);
-      } else {
-        for (uint32_t reducer = 0; reducer < r; ++reducer) {
-          pull_reducer(reducer);
-        }
-      }
-    }
-    for (uint32_t reducer = 0; reducer < r; ++reducer) {
-      metrics.shuffle_records += pulled_records[reducer];
-      metrics.shuffle_bytes += pulled_bytes[reducer];
-      metrics.shuffle_copy_bytes += copied_bytes[reducer];
-    }
-    buckets.clear();
-    metrics.shuffle_wall_ms = shuffle_watch.ElapsedMs();
-
-    // --- Reduce wave: one task per reducer; each reducer handles its keys
-    // sequentially (Hadoop semantics). ---
-    std::vector<size_t> reduce_in(r, 0);
-    Stopwatch reduce_watch;
-    metrics.reduce_tasks = RunWave("mr.reduce_wave", r, [&](size_t reducer) {
-      ZSKY_TRACE_SPAN_ARGS("mr.reduce_task",
-                           "{\"reducer\":" + std::to_string(reducer) + "}");
-      if (!gate.Admit(Wave::kReduce, reducer)) return;
-      for (auto& [key, values] : reducer_input[reducer]) {
-        reduce_in[reducer] += values.size();
-        reduce(key, std::span<const V>(values));
-      }
-    }, metrics);
-    metrics.reduce_wall_ms = reduce_watch.ElapsedMs();
-    gate.Harvest(r, metrics);
-    for (uint32_t reducer = 0; reducer < r; ++reducer) {
-      metrics.reduce_tasks[reducer].records_in = reduce_in[reducer];
-    }
-
-    metrics.total_wall_ms = total_watch.ElapsedMs();
-    return metrics;
-  }
-
-  // Legacy spill-file layout: header of per-reducer counts, then the
-  // records grouped by reducer in reducer order, each record an
-  // interleaved raw (int32 key, V value).
-  std::string SpillLegacy(
-      size_t task,
-      const std::vector<std::vector<std::pair<int32_t, V>>>& task_buckets,
-      std::vector<uint64_t>& counts, JobMetrics& metrics) const {
-    ZSKY_TRACE_SPAN_ARGS("mr.spill_write",
-                         "{\"task\":" + std::to_string(task) + "}");
-    const std::string path = SpillFilePath(task);
-    const uint32_t r = options_.num_reduce_tasks;
-    counts.assign(r, 0);
-    for (uint32_t reducer = 0; reducer < task_buckets.size(); ++reducer) {
-      counts[reducer] = task_buckets[reducer].size();
-    }
-    std::FILE* file = std::fopen(path.c_str(), "wb");
-    ZSKY_CHECK_MSG(file != nullptr, "cannot create spill file");
-    std::fwrite(counts.data(), sizeof(uint64_t), r, file);
-    metrics.spill_bytes += r * sizeof(uint64_t);
-    for (uint32_t reducer = 0; reducer < task_buckets.size(); ++reducer) {
-      for (const auto& [key, value] : task_buckets[reducer]) {
-        std::fwrite(&key, sizeof(key), 1, file);
-        std::fwrite(&value, sizeof(V), 1, file);
-        metrics.spill_bytes += kSpillRecordBytes;
-      }
-    }
-    std::fclose(file);
-    return path;
-  }
-
-  // Streams reducer `reducer`'s section of a legacy spill file through
-  // `fn(key, value)`.
-  template <typename Fn>
-  void ReadLegacySpillSection(const std::string& path,
-                              const std::vector<uint64_t>& counts,
-                              uint32_t reducer, const Fn& fn) const {
-    uint64_t skip = 0;
-    for (uint32_t q = 0; q < reducer; ++q) skip += counts[q];
-    const uint64_t want = counts[reducer];
-    if (want == 0) return;
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    ZSKY_CHECK_MSG(file != nullptr, "cannot reopen spill file");
-    const uint64_t offset =
-        counts.size() * sizeof(uint64_t) + skip * kSpillRecordBytes;
-    ZSKY_CHECK(::fseeko(file, static_cast<off_t>(offset), SEEK_SET) == 0);
-    for (uint64_t i = 0; i < want; ++i) {
-      int32_t key = 0;
-      alignas(V) unsigned char storage[sizeof(V)];
-      ZSKY_CHECK(std::fread(&key, sizeof(key), 1, file) == 1);
-      ZSKY_CHECK(std::fread(storage, sizeof(V), 1, file) == 1);
-      V value;
-      std::memcpy(&value, storage, sizeof(V));
-      fn(key, std::move(value));
-    }
-    std::fclose(file);
-  }
-
-  // Runs one wave of `count` tasks, on the pool or (legacy mode) on
-  // freshly spawned threads. `span_name` labels the wave's trace span.
-  // With morsel scheduling the wave runs on per-slot steal queues and the
-  // wave's steal accounting is accumulated into `metrics`.
+  // Runs one map, collapse or reduce wave of `count` tasks on the pool.
+  // `span_name` labels the wave's trace span; the wave's steal accounting
+  // is accumulated into `metrics`.
   std::vector<TaskMetrics> RunWave(const char* span_name, size_t count,
                                    const std::function<void(size_t)>& fn,
                                    JobMetrics& metrics) {
     ZSKY_TRACE_SPAN_ARGS(span_name,
                          "{\"tasks\":" + std::to_string(count) + "}");
-    if (pool_ != nullptr) {
-      if (options_.morsel_scheduling) {
-        StealStats stats;
-        std::vector<TaskMetrics> tasks = pool_->RunStealing(count, fn, &stats);
-        metrics.morsels_total += stats.morsels;
-        metrics.tasks_stolen += stats.stolen;
-        return tasks;
-      }
-      return pool_->Run(count, fn);
-    }
-    return TaskRunner(options_.num_threads).Run(count, fn);
+    StealStats stats;
+    std::vector<TaskMetrics> tasks = pool_->Run(count, fn, &stats);
+    metrics.morsels_total += stats.morsels;
+    metrics.tasks_stolen += stats.stolen;
+    return tasks;
   }
 
   Options options_;
   WorkerPool* pool_ = nullptr;
   std::unique_ptr<WorkerPool> owned_pool_;
 
-  // Columnar-path state, pooled across Run() calls on this job: the
+  // Record-path state, pooled across Run() calls on this job: the
   // steady-state allocation-free property comes from here.
   ChunkPool<V> chunk_pool_;
   std::atomic<size_t> flat_alloc_bytes_{0};

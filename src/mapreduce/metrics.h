@@ -84,7 +84,7 @@ struct JobMetrics {
   // spill_to_disk; only the largest under a memory budget).
   size_t spilled_tasks = 0;
 
-  // Record-path cost accounting (zero-copy columnar shuffle, PR 5):
+  // Record-path cost accounting (zero-copy columnar shuffle):
   // bytes of new backing storage the shuffle allocated during this run
   // (zero in steady state — chunks and scratch are pooled across runs),
   // and bytes physically copied moving records from map output to the
@@ -100,10 +100,10 @@ struct JobMetrics {
   size_t failed_attempts = 0;
   bool succeeded = true;
 
-  // Morsel-driven scheduling accounting (docs/scheduling.md). Zero when
-  // the job ran on the static-split path (no pool, or morsel_scheduling
-  // off). `tasks_stolen` counts morsels executed by a slot other than the
-  // owner of the queue they were enqueued on.
+  // Morsel-driven scheduling accounting (docs/scheduling.md) over the
+  // map, collapse and reduce waves; the shuffle pull is not counted.
+  // `tasks_stolen` counts morsels executed by a slot other than the owner
+  // of the queue they were enqueued on.
   size_t morsels_total = 0;
   size_t tasks_stolen = 0;
 

@@ -18,11 +18,10 @@
 //    with a counting sort (dense key ranges; stable sort fallback for
 //    pathologically sparse keys), producing one contiguous value slice
 //    per key in ascending key order. The per-key value order is
-//    segment-major and stable, matching the task-major pull order of the
-//    legacy shuffle.
+//    segment-major and stable, i.e. the shuffle's task-major pull order.
 //
-// Everything here requires a trivially copyable V; MapReduceJob falls
-// back to its legacy record path for other value types.
+// Everything here requires a trivially copyable V, which MapReduceJob
+// static-asserts.
 
 #include <algorithm>
 #include <atomic>

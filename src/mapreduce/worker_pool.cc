@@ -3,9 +3,13 @@
 #include <algorithm>
 
 #include "common/stopwatch.h"
-#include "mapreduce/task_runner.h"
 
 namespace zsky::mr {
+
+uint32_t ResolveThreads(uint32_t requested) {
+  if (requested != 0) return requested;
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 WorkerPool::WorkerPool(uint32_t num_threads)
     : num_threads_(ResolveThreads(num_threads)), slots_(num_threads_ + 1) {
@@ -28,35 +32,6 @@ WorkerPool::~WorkerPool() {
 }
 
 std::vector<TaskMetrics> WorkerPool::Run(
-    size_t count, const std::function<void(size_t)>& fn) {
-  std::vector<TaskMetrics> metrics(count);
-  if (count == 0) return metrics;
-  const std::lock_guard<std::mutex> run_lock(run_mu_);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    wave_count_ = count;
-    // Aim for several claims per worker so fast workers rebalance, but
-    // amortize the shared counter over whole chunks on large waves.
-    wave_chunk_ = std::max<size_t>(1, count / (size_t{num_threads_} * 8));
-    wave_fn_ = &fn;
-    wave_metrics_ = metrics.data();
-    wave_stealing_ = false;
-    next_.store(0, std::memory_order_relaxed);
-    workers_active_ = num_threads_;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  DrainWave();  // The calling thread works too.
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return workers_active_ == 0; });
-    wave_fn_ = nullptr;
-    wave_metrics_ = nullptr;
-  }
-  return metrics;
-}
-
-std::vector<TaskMetrics> WorkerPool::RunStealing(
     size_t count, const std::function<void(size_t)>& fn, StealStats* stats) {
   std::vector<TaskMetrics> metrics(count);
   if (stats != nullptr) {
@@ -68,10 +43,8 @@ std::vector<TaskMetrics> WorkerPool::RunStealing(
   const std::lock_guard<std::mutex> run_lock(run_mu_);
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    wave_count_ = count;
     wave_fn_ = &fn;
     wave_metrics_ = metrics.data();
-    wave_stealing_ = true;
     // Block-partition the index range: slot s owns
     // [count*s/slots_, count*(s+1)/slots_). Contiguous blocks keep each
     // owner's morsels cache-adjacent; the caller gets the last block.
@@ -91,7 +64,6 @@ std::vector<TaskMetrics> WorkerPool::RunStealing(
     done_cv_.wait(lock, [this] { return workers_active_ == 0; });
     wave_fn_ = nullptr;
     wave_metrics_ = nullptr;
-    wave_stealing_ = false;
   }
   if (stats != nullptr) {
     stats->stolen = stolen_.load(std::memory_order_relaxed);
@@ -105,37 +77,16 @@ std::vector<TaskMetrics> WorkerPool::RunStealing(
 void WorkerPool::WorkerLoop(uint32_t slot) {
   uint64_t seen = 0;
   for (;;) {
-    bool stealing;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
-      stealing = wave_stealing_;
     }
-    if (stealing) {
-      DrainStealing(slot);
-    } else {
-      DrainWave();
-    }
+    DrainStealing(slot);
     {
       const std::lock_guard<std::mutex> lock(mu_);
       if (--workers_active_ == 0) done_cv_.notify_all();
-    }
-  }
-}
-
-void WorkerPool::DrainWave() {
-  const size_t count = wave_count_;
-  const size_t chunk = wave_chunk_;
-  for (;;) {
-    const size_t begin = next_.fetch_add(chunk, std::memory_order_relaxed);
-    if (begin >= count) return;
-    const size_t end = std::min(count, begin + chunk);
-    for (size_t task = begin; task < end; ++task) {
-      Stopwatch watch;
-      (*wave_fn_)(task);
-      wave_metrics_[task].ms = watch.ElapsedMs();
     }
   }
 }

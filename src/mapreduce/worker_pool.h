@@ -14,7 +14,13 @@
 
 namespace zsky::mr {
 
-// Per-wave accounting for RunStealing (see docs/scheduling.md).
+// Resolves a requested thread count: 0 selects the hardware concurrency,
+// clamped to at least 1 because std::thread::hardware_concurrency() is
+// allowed to return 0 when the platform cannot report it. Every place that
+// sizes a pool from a user-supplied count goes through this.
+uint32_t ResolveThreads(uint32_t requested);
+
+// Per-wave accounting for Run (see docs/scheduling.md).
 struct StealStats {
   // Total tasks (morsels) executed by the wave.
   size_t morsels = 0;
@@ -26,37 +32,26 @@ struct StealStats {
 };
 
 // A persistent pool of worker threads executing waves of independent
-// tasks. Unlike TaskRunner (which spawns and joins threads on every wave),
-// the pool's threads are created once and woken per wave with a condition
-// variable, so running many small waves back-to-back — two waves per
+// tasks. The threads are created once and woken per wave with a condition
+// variable, so running many small waves back-to-back — three waves per
 // MapReduce job, two jobs plus a merge per skyline query — costs wakeups
 // instead of thread creation.
 //
-// Two scheduling modes share the pool's threads:
+// Scheduling is morsel-driven work stealing: the task index range is
+// block-partitioned into one queue per slot (worker threads plus the
+// caller). Each queue is an atomic cursor over its contiguous block, so
+// the owner pops morsels with a single relaxed fetch_add and never touches
+// a lock. When a slot's own queue drains it becomes a thief: it picks a
+// random victim (xorshift seeded by slot id) and claims morsels from the
+// victim's cursor — the same wait-free fetch_add the owner uses, so steals
+// are lock-free and a skewed queue is drained by every idle core instead
+// of one thread. A wave terminates when a full sweep over all queues finds
+// no cursor below its block end; cursors only grow and blocks never
+// refill, so the sweep cannot miss late work.
 //
-//  * Run(): tasks are claimed in chunks from a single shared work counter.
-//    A worker grabs `chunk` task indices per fetch_add instead of one,
-//    which keeps counter contention constant as waves grow. Kept as the
-//    static-split baseline and for waves that need FIFO-ish claiming.
-//
-//  * RunStealing(): the task index range is block-partitioned into one
-//    queue per slot (worker threads plus the caller). Each queue is an
-//    atomic cursor over its contiguous block, so the owner pops morsels
-//    with a single relaxed fetch_add and never touches a lock. When a
-//    slot's own queue drains it becomes a thief: it picks a random victim
-//    (xorshift seeded by slot id) and claims morsels from the victim's
-//    cursor — the same wait-free fetch_add the owner uses, so steals are
-//    lock-free and a skewed queue is drained by every idle core instead
-//    of one thread. A wave terminates when a full sweep over all queues
-//    finds no cursor below its block end; cursors only grow and blocks
-//    never refill, so the sweep cannot miss late work.
-//
-// Per-task wall times are measured exactly as TaskRunner does in both
-// modes, so simulated-cluster metrics stay comparable.
-//
-// Run()/RunStealing() may be called from any thread; concurrent calls are
-// serialized. Neither may be called from inside a task running on the same
-// pool (the wave would deadlock waiting for its own worker).
+// Run() may be called from any thread; concurrent calls are serialized.
+// It may not be called from inside a task running on the same pool (the
+// wave would deadlock waiting for its own worker).
 class WorkerPool {
  public:
   // `num_threads` == 0 selects the hardware concurrency (at least 1).
@@ -72,23 +67,16 @@ class WorkerPool {
 
   // Executes fn(0) .. fn(count-1) on the pool (the calling thread helps)
   // and returns per-task metrics with wall times filled in. Blocks until
-  // every task of the wave has finished. Static chunked claiming.
-  std::vector<TaskMetrics> Run(size_t count,
-                               const std::function<void(size_t)>& fn);
-
-  // Same contract as Run(), but with per-slot morsel queues and
-  // steal-from-random-victim scheduling. If `stats` is non-null it is
+  // every task of the wave has finished. If `stats` is non-null it is
   // overwritten with this wave's steal accounting.
-  std::vector<TaskMetrics> RunStealing(size_t count,
-                                       const std::function<void(size_t)>& fn,
-                                       StealStats* stats = nullptr);
+  std::vector<TaskMetrics> Run(size_t count,
+                               const std::function<void(size_t)>& fn,
+                               StealStats* stats = nullptr);
 
  private:
   void WorkerLoop(uint32_t slot);
-  // Claims and executes chunks of the current wave until it is exhausted.
-  void DrainWave();
-  // Stealing mode: drain the slot's own queue, then steal until no queue
-  // anywhere has unclaimed morsels.
+  // Drains the slot's own queue, then steals until no queue anywhere has
+  // unclaimed morsels.
   void DrainStealing(uint32_t slot);
   // Claims morsels from `queue`'s cursor until it passes the block end,
   // executing each on behalf of `slot`.
@@ -97,27 +85,22 @@ class WorkerPool {
   uint32_t num_threads_;
   uint32_t slots_;
 
-  // Serializes concurrent Run()/RunStealing() callers.
+  // Serializes concurrent Run() callers.
   std::mutex run_mu_;
 
-  // Wave state below is written by Run()/RunStealing() under `mu_` before
-  // workers are woken and is not touched again until every worker has
-  // checked in, so workers read it without holding the lock while
-  // draining.
+  // Wave state below is written by Run() under `mu_` before workers are
+  // woken and is not touched again until every worker has checked in, so
+  // workers read it without holding the lock while draining.
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   uint64_t generation_ = 0;
   bool stop_ = false;
-  bool wave_stealing_ = false;
-  size_t wave_count_ = 0;
-  size_t wave_chunk_ = 1;
   const std::function<void(size_t)>* wave_fn_ = nullptr;
   TaskMetrics* wave_metrics_ = nullptr;
-  std::atomic<size_t> next_{0};
   uint32_t workers_active_ = 0;
 
-  // Stealing-mode queues: slot s owns task indices
+  // Per-slot queues: slot s owns task indices
   // [count*s/slots_, count*(s+1)/slots_). slot_next_ is the claim cursor,
   // slot_end_ the fixed block end for the current wave. slot_executed_
   // counts tasks run by each slot; stolen_ counts cross-queue claims.

@@ -433,50 +433,6 @@ void ZOrderGroupedPartitioner::Finalize(const std::vector<Part>& parts,
   ZSKY_CHECK(num_groups_ >= 1);
 }
 
-ZOrderGroupedPartitioner ZOrderGroupedPartitioner::FromPlanParts(
-    const ZOrderCodec* codec, const Options& options,
-    std::vector<ZAddress> lowers, std::vector<int32_t> group_of,
-    std::vector<uint32_t> sample_counts,
-    std::vector<uint32_t> skyline_counts, PointSet sample_skyline) {
-  ZSKY_CHECK(codec != nullptr);
-  const size_t p = lowers.size();
-  ZSKY_CHECK(p >= 1);
-  ZSKY_CHECK(group_of.size() == p);
-  ZSKY_CHECK(sample_counts.size() == p);
-  ZSKY_CHECK(skyline_counts.size() == p);
-  ZSKY_CHECK(sample_skyline.dim() == codec->dim());
-  ZSKY_CHECK(lowers.front().IsZero());
-  for (size_t i = 1; i < p; ++i) ZSKY_CHECK(lowers[i - 1] < lowers[i]);
-
-  ZOrderGroupedPartitioner out(codec, options, FromPartsTag{});
-  // Regions from the lower bounds (same derivation as ComputeRegions).
-  out.regions_.reserve(p);
-  for (size_t i = 0; i < p; ++i) {
-    const ZAddress& lo = lowers[i];
-    const ZAddress hi =
-        (i + 1 < p) ? lowers[i + 1].Predecessor() : codec->MaxAddress();
-    out.regions_.push_back(RZRegion::FromAddresses(*codec, lo, hi));
-  }
-  int32_t max_group = -1;
-  out.pruned_count_ = 0;
-  for (int32_t g : group_of) {
-    if (g == kDroppedGroup) {
-      ++out.pruned_count_;
-    } else {
-      ZSKY_CHECK(g >= 0);
-      max_group = std::max(max_group, g);
-    }
-  }
-  out.num_groups_ = static_cast<uint32_t>(max_group + 1);
-  ZSKY_CHECK(out.num_groups_ >= 1);
-  out.lowers_ = std::move(lowers);
-  out.group_of_ = std::move(group_of);
-  out.sample_counts_ = std::move(sample_counts);
-  out.skyline_counts_ = std::move(skyline_counts);
-  out.sample_skyline_ = std::move(sample_skyline);
-  return out;
-}
-
 int32_t ZOrderGroupedPartitioner::GroupOfAddress(const ZAddress& z) const {
   auto it = std::upper_bound(lowers_.begin(), lowers_.end(), z);
   ZSKY_DCHECK(it != lowers_.begin());

@@ -49,18 +49,6 @@ class ZOrderGroupedPartitioner : public Partitioner {
   ZOrderGroupedPartitioner(const ZOrderCodec* codec, const PointSet& sample,
                            const Options& options);
 
-  // Reconstructs a partitioner from previously learned plan state — the
-  // paper's "the preprocessing step outputs the data partitioning rules"
-  // (Section 5.1). `lowers` are the partitions' inclusive lower-bound
-  // addresses (ascending, first == MinAddress); `group_of` maps partitions
-  // to groups (kDroppedGroup for pruned ones); the sample skyline feeds
-  // the SZB mapper filter. See io/plan_io.h for the byte format.
-  static ZOrderGroupedPartitioner FromPlanParts(
-      const ZOrderCodec* codec, const Options& options,
-      std::vector<ZAddress> lowers, std::vector<int32_t> group_of,
-      std::vector<uint32_t> sample_counts,
-      std::vector<uint32_t> skyline_counts, PointSet sample_skyline);
-
   uint32_t num_groups() const override { return num_groups_; }
   int32_t GroupOf(std::span<const Coord> p) const override;
   std::string_view name() const override {
@@ -94,15 +82,6 @@ class ZOrderGroupedPartitioner : public Partitioner {
   const PointSet& sample_skyline() const { return sample_skyline_; }
 
  private:
-  // Bare-bones constructor for FromPlanParts.
-  struct FromPartsTag {};
-  ZOrderGroupedPartitioner(const ZOrderCodec* codec, const Options& options,
-                           FromPartsTag)
-      : codec_(codec),
-        options_(options),
-        sorted_sample_(codec->dim()),
-        sample_skyline_(codec->dim()) {}
-
   struct Part {
     size_t begin;  // Range of z-sorted sample indices covered.
     size_t end;

@@ -47,7 +47,6 @@
 #include "io/binary.h"
 #include "io/columnar.h"
 #include "io/csv.h"
-#include "io/plan_io.h"
 #include "index/bbs.h"
 #include "index/constrained.h"
 #include "index/dynamic_skyline.h"

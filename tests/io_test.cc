@@ -8,7 +8,6 @@
 #include "gen/synthetic.h"
 #include "io/binary.h"
 #include "io/csv.h"
-#include "io/plan_io.h"
 
 namespace zsky {
 namespace {
@@ -227,61 +226,6 @@ TEST(BinaryTest, MissingFileError) {
   std::string error;
   EXPECT_FALSE(ReadPointSetFile("/nonexistent/zsky.zpt", &error).has_value());
   EXPECT_NE(error.find("cannot open"), std::string::npos);
-}
-
-TEST(PlanIoTest, RoundTripRoutesIdentically) {
-  const Quantizer q(12);
-  const PointSet sample =
-      GenerateQuantized(Distribution::kAnticorrelated, 3000, 4, 6, q);
-  const ZOrderCodec codec(4, 12);
-  ZOrderGroupedPartitioner::Options options;
-  options.num_groups = 8;
-  options.expansion = 4;
-  options.strategy = GroupingStrategy::kDominance;
-  const ZOrderGroupedPartitioner original(&codec, sample, options);
-
-  const std::string bytes = SerializePlan(original);
-  std::string error;
-  auto restored = DeserializePlan(bytes, &codec, &error);
-  ASSERT_TRUE(restored.has_value()) << error;
-
-  EXPECT_EQ(restored->num_partitions(), original.num_partitions());
-  EXPECT_EQ(restored->num_groups(), original.num_groups());
-  EXPECT_EQ(restored->pruned_partition_count(),
-            original.pruned_partition_count());
-  EXPECT_EQ(restored->sample_skyline().raw(),
-            original.sample_skyline().raw());
-  const PointSet data =
-      GenerateQuantized(Distribution::kAnticorrelated, 4000, 4, 7, q);
-  for (size_t i = 0; i < data.size(); ++i) {
-    ASSERT_EQ(restored->GroupOf(data[i]), original.GroupOf(data[i]))
-        << "row " << i;
-  }
-}
-
-TEST(PlanIoTest, RejectsMismatchedCodec) {
-  const Quantizer q(12);
-  const PointSet sample =
-      GenerateQuantized(Distribution::kIndependent, 500, 3, 8, q);
-  const ZOrderCodec codec(3, 12);
-  ZOrderGroupedPartitioner::Options options;
-  options.num_groups = 4;
-  const ZOrderGroupedPartitioner original(&codec, sample, options);
-  const std::string bytes = SerializePlan(original);
-
-  std::string error;
-  const ZOrderCodec wrong_dim(4, 12);
-  EXPECT_FALSE(DeserializePlan(bytes, &wrong_dim, &error).has_value());
-  EXPECT_NE(error.find("codec mismatch"), std::string::npos);
-  const ZOrderCodec wrong_bits(3, 16);
-  EXPECT_FALSE(DeserializePlan(bytes, &wrong_bits, &error).has_value());
-}
-
-TEST(PlanIoTest, RejectsCorruptPlan) {
-  const ZOrderCodec codec(3, 12);
-  std::string error;
-  EXPECT_FALSE(DeserializePlan("junk", &codec, &error).has_value());
-  EXPECT_EQ(error, "bad magic");
 }
 
 TEST(TableToPointsTest, NormalizationAndMinimization) {

@@ -132,8 +132,7 @@ struct WorkSnapshot {
   SkylineIndices skyline;
 };
 
-WorkSnapshot RunPipelineOnce(const PointSet& points, uint32_t num_threads,
-                             bool reuse_worker_pool) {
+WorkSnapshot RunPipelineOnce(const PointSet& points, uint32_t num_threads) {
   MetricsRegistry::Global().Reset();
 
   ExecutorOptions options;
@@ -144,7 +143,6 @@ WorkSnapshot RunPipelineOnce(const PointSet& points, uint32_t num_threads,
   options.num_map_tasks = 16;  // Fixed split layout for every config.
   options.bits = 8;
   options.num_threads = num_threads;
-  options.reuse_worker_pool = reuse_worker_pool;
 
   const SkylineQueryResult result =
       ParallelSkylineExecutor(options).Execute(points);
@@ -169,8 +167,7 @@ TEST(RegistryInvarianceTest, WorkCountersIndependentOfScheduling) {
   const PointSet points = GenerateQuantized(Distribution::kIndependent,
                                             20'000, 6, 7, Quantizer(8));
 
-  const WorkSnapshot baseline =
-      RunPipelineOnce(points, /*num_threads=*/1, /*reuse_worker_pool=*/true);
+  const WorkSnapshot baseline = RunPipelineOnce(points, /*num_threads=*/1);
   ASSERT_FALSE(baseline.skyline.empty());
   EXPECT_GT(baseline.counters.at("candidates_emitted"), 0u);
   EXPECT_GT(baseline.counters.at("shuffle_bytes"), 0u);
@@ -181,30 +178,25 @@ TEST(RegistryInvarianceTest, WorkCountersIndependentOfScheduling) {
   EXPECT_EQ(baseline.map_task_count, 16u);
 
   for (const uint32_t num_threads : {1u, 2u, 8u}) {
-    for (const bool reuse_pool : {true, false}) {
-      const WorkSnapshot snap =
-          RunPipelineOnce(points, num_threads, reuse_pool);
-      const std::string label = "num_threads=" +
-                                std::to_string(num_threads) +
-                                " reuse_pool=" + (reuse_pool ? "1" : "0");
-      EXPECT_EQ(snap.counters, baseline.counters) << label;
-      EXPECT_EQ(snap.skyline, baseline.skyline) << label;
-      EXPECT_EQ(snap.candidates_per_group.count,
-                baseline.candidates_per_group.count)
-          << label;
-      EXPECT_EQ(snap.candidates_per_group.sum,
-                baseline.candidates_per_group.sum)
-          << label;
-      EXPECT_EQ(snap.candidates_per_group.min,
-                baseline.candidates_per_group.min)
-          << label;
-      EXPECT_EQ(snap.candidates_per_group.max,
-                baseline.candidates_per_group.max)
-          << label;
-      // Latency histograms are schedule-dependent in their values but not
-      // in how many samples they hold (one per task).
-      EXPECT_EQ(snap.map_task_count, baseline.map_task_count) << label;
-    }
+    const WorkSnapshot snap = RunPipelineOnce(points, num_threads);
+    const std::string label = "num_threads=" + std::to_string(num_threads);
+    EXPECT_EQ(snap.counters, baseline.counters) << label;
+    EXPECT_EQ(snap.skyline, baseline.skyline) << label;
+    EXPECT_EQ(snap.candidates_per_group.count,
+              baseline.candidates_per_group.count)
+        << label;
+    EXPECT_EQ(snap.candidates_per_group.sum,
+              baseline.candidates_per_group.sum)
+        << label;
+    EXPECT_EQ(snap.candidates_per_group.min,
+              baseline.candidates_per_group.min)
+        << label;
+    EXPECT_EQ(snap.candidates_per_group.max,
+              baseline.candidates_per_group.max)
+        << label;
+    // Latency histograms are schedule-dependent in their values but not
+    // in how many samples they hold (one per task).
+    EXPECT_EQ(snap.map_task_count, baseline.map_task_count) << label;
   }
 }
 

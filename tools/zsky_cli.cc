@@ -4,8 +4,9 @@
 //   zsky_cli gen   --dist <indep|corr|anti> --n <rows> --dim <d>
 //                  [--seed S] [--out file.csv|file.zsc]
 //   zsky_cli convert --in file.csv --out file.zsc [--max col1,col3]
-//   zsky_cli query --in file.csv|file.zsc [--scheme grid|angle|quadtree|
-//                  naive-z|zhg|zdg] [--local sb|zs] [--merge sb|zs|zm]
+//   zsky_cli query --in file.csv|file.zsc [--scheme random|grid|angle|
+//                  quadtree|naive-z|zhg|zdg] [--local sb|zs|bbs]
+//                  [--merge sb|zs|zm|pzm]
 //                  [--groups M] [--max col1,col3] [--topk K]
 //                  [--rank count|sum] [--lo a,b,...] [--hi a,b,...]
 //                  [--dims c0,c2] [--flip c1] [--k K] [--budget BYTES]
@@ -207,42 +208,20 @@ int RunGen(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-std::optional<PartitioningScheme> SchemeFromName(const std::string& name) {
-  if (name == "grid") return PartitioningScheme::kGrid;
-  if (name == "angle") return PartitioningScheme::kAngle;
-  if (name == "quadtree") return PartitioningScheme::kQuadTree;
-  if (name == "naive-z") return PartitioningScheme::kNaiveZ;
-  if (name == "zhg") return PartitioningScheme::kZhg;
-  if (name == "zdg") return PartitioningScheme::kZdg;
-  return std::nullopt;
-}
-
 // Shared by `query` and `serve`: strategy combination + group count from
 // flags.
 ExecutorOptions StrategyFromFlags(
     const std::map<std::string, std::string>& flags, uint32_t bits) {
   ExecutorOptions options;
-  const auto scheme = SchemeFromName(Flag(flags, "scheme", "zdg"));
+  const auto scheme = PartitioningSchemeFromName(Flag(flags, "scheme", "zdg"));
   if (!scheme.has_value()) Usage("unknown --scheme");
   options.partitioning = *scheme;
-  const std::string local = Flag(flags, "local", "zs");
-  if (local == "sb") {
-    options.local = LocalAlgorithm::kSortBased;
-  } else if (local == "zs") {
-    options.local = LocalAlgorithm::kZSearch;
-  } else {
-    Usage("unknown --local");
-  }
-  const std::string merge = Flag(flags, "merge", "zm");
-  if (merge == "sb") {
-    options.merge = MergeAlgorithm::kSortBased;
-  } else if (merge == "zs") {
-    options.merge = MergeAlgorithm::kZSearch;
-  } else if (merge == "zm") {
-    options.merge = MergeAlgorithm::kZMerge;
-  } else {
-    Usage("unknown --merge");
-  }
+  const auto local = LocalAlgorithmFromName(Flag(flags, "local", "zs"));
+  if (!local.has_value()) Usage("unknown --local");
+  options.local = *local;
+  const auto merge = MergeAlgorithmFromName(Flag(flags, "merge", "zm"));
+  if (!merge.has_value()) Usage("unknown --merge");
+  options.merge = *merge;
   options.num_groups = static_cast<uint32_t>(
       std::strtoul(Flag(flags, "groups", "8").c_str(), nullptr, 10));
   options.bits = bits;
