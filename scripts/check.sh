@@ -53,12 +53,12 @@
 #
 # `scripts/check.sh outofcore` exercises the mmap-backed .zsc subsystem:
 # a CLI gen -> convert -> query round trip, the format/corruption/parity
-# and columnar-direct tests under AddressSanitizer (mmap-vs-heap
-# bit-identity, bounded residency, SetDatasetFile, direct-vs-cursor
-# parity, sketch pruning), the readahead worker torture under
+# and mask-wave tests under AddressSanitizer (mmap-vs-heap
+# bit-identity, bounded residency, SetDatasetFile, heap-tile vs mapped
+# column parity, sketch pruning), the readahead worker torture under
 # ThreadSanitizer, then bench_outofcore in Release — which itself fails
 # if the budget-bounded run's peak RSS exceeds base + budget + allowance
-# or the direct run transposes any bytes — plus >10% gates on warm
+# or the bounded run transposes any bytes — plus >10% gates on warm
 # bounded throughput AND a separate cold lane (`bench_outofcore --cold`,
 # page cache evicted) against the committed BENCH_outofcore.json
 # baseline.
@@ -129,8 +129,8 @@ if [ "${1:-}" = "sched" ]; then
         -R 'WorkerPool|MapReduceJob|Executor|Pipeline|QueryService|ChoosePlan'
 
   echo "=== bench_sched vs committed hotpath baseline ==="
-  cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build --target bench_sched
+  cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build -j "$(nproc)" --target bench_sched
   (cd build && ./bench/bench_sched)
   baseline=$(grep -o '"hotpath_ms": [0-9.]*' BENCH_hotpath.json \
              | awk '{print $2}')
@@ -166,8 +166,8 @@ if [ "${1:-}" = "shuffle" ]; then
         -R 'MapReduceJob|RecordBuffer|ShuffleParity'
 
   echo "=== Record-path throughput vs committed baseline ==="
-  cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build --target bench_shuffle
+  cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build -j "$(nproc)" --target bench_shuffle
   (cd build && ./bench/bench_shuffle)
   baseline=$(awk -F': ' '/"zero_copy_records_per_sec"/ {gsub(/,/, "", $2); print $2}' \
              BENCH_shuffle.json)
@@ -196,8 +196,8 @@ if [ "${1:-}" = "queries" ]; then
         -R 'QueryVariant|VariantCache|BoxPruning|ConstrainedOracle|QueryServiceVariant|QueryServiceFuzz|ProjectDimsInto|PlanReuse|EstimatePlanCost'
 
   echo "=== CLI variant-flag round trip (Release) ==="
-  cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build --target zsky_cli bench_queries
+  cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build -j "$(nproc)" --target zsky_cli bench_queries
   qt="$(mktemp -d)"
   trap 'rm -rf "$qt"' EXIT
   ./build/tools/zsky_cli gen --dist anti --n 20000 --dim 4 --seed 7 \
@@ -228,8 +228,8 @@ fi
 
 if [ "${1:-}" = "outofcore" ]; then
   echo "=== CLI gen -> convert -> query round trip (Release) ==="
-  cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build --target zsky_cli bench_outofcore
+  cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build -j "$(nproc)" --target zsky_cli bench_outofcore
   rt="$(mktemp -d)"
   trap 'rm -rf "$rt"' EXIT
   ./build/tools/zsky_cli gen --dist anti --n 50000 --dim 6 --seed 7 \
@@ -248,15 +248,15 @@ if [ "${1:-}" = "outofcore" ]; then
         -DZSKY_SANITIZE=address \
         -DZSKY_BUILD_BENCHMARKS=OFF -DZSKY_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-asan --target columnar_test outofcore_parity_test \
-        columnar_direct_test io_test
+        mask_wave_test io_test
   ctest --test-dir build-asan --output-on-failure \
-        -R 'Columnar|DatasetView|OutOfCore|BinaryTest'
+        -R 'Columnar|DatasetView|OutOfCore|BinaryTest|MaskWave'
 
   echo "=== Readahead worker torture under TSan ==="
   cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DZSKY_SANITIZE=thread \
         -DZSKY_BUILD_BENCHMARKS=OFF -DZSKY_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build build-tsan --target columnar_direct_test
+  cmake --build build-tsan --target mask_wave_test
   ctest --test-dir build-tsan --output-on-failure -R 'OutOfCoreReadahead'
 
   echo "=== bench_outofcore: RSS ceiling + throughput baseline ==="
@@ -329,8 +329,8 @@ if [ "${1:-}" = "updates" ]; then
         -R 'QueryServiceMutate|QueryServiceUpdates'
 
   echo "=== CLI insert/delete round trip (Release) ==="
-  cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build --target zsky_cli bench_updates
+  cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build -j "$(nproc)" --target zsky_cli bench_updates
   ut="$(mktemp -d)"
   trap 'rm -rf "$ut"' EXIT
   ./build/tools/zsky_cli gen --dist anti --n 20000 --dim 4 --seed 7 \
@@ -374,8 +374,8 @@ if [ "${1:-}" = "updates" ]; then
 fi
 
 echo "=== Release build + tests ==="
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build
+cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure
 
 echo "=== Debug build + tests (assertions on) ==="

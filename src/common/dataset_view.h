@@ -87,7 +87,7 @@ class DatasetView {
     return cols_[d];
   }
 
-  // Columnar-direct entry point: when the columns sit at one uniform
+  // In-place SoA entry point: when the columns sit at one uniform
   // element stride (always true for `.zsc` files, whose columns are
   // uniformly sized and 64-byte aligned inside one mapping), exposes the
   // whole dataset as a single SoA block the dominance kernels can consume
@@ -199,7 +199,8 @@ class DatasetView {
     if (dim == 1) return size;
     // uintptr_t arithmetic: columns from one mapping have a well-defined
     // uniform spacing; columns from unrelated heap allocations (tests,
-    // ad-hoc views) almost never do, and then the cursor path serves.
+    // ad-hoc views) almost never do, and then scans go through
+    // RowBlockCursor.
     const uintptr_t first = reinterpret_cast<uintptr_t>(columns[0]);
     const uintptr_t second = reinterpret_cast<uintptr_t>(columns[1]);
     if (second <= first) return 0;
@@ -232,8 +233,9 @@ class DatasetView {
 };
 
 // Iterates a row range of a DatasetView in blocks, presenting every block
-// as row-major coords — the access pattern the SZB filter, the
-// partitioner routing and the SoA kernels want.
+// as row-major coords — the access pattern the desc-aware mapper and the
+// gathers want. The plain map wave transposes each block into SoA tiles
+// for the mask kernel, unless the view has an in-place SoaSpan.
 //
 //  - Row-major views yield ONE zero-copy block covering the whole range:
 //    byte-for-byte the pre-view behavior of slicing the PointSet.

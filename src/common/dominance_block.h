@@ -41,9 +41,10 @@ size_t SoAMarkDominatedBy(const Coord* base, size_t stride, uint32_t dim,
                           size_t begin, size_t end, std::span<const Coord> p,
                           uint8_t* out);
 
-// Column-at-a-time SZB probe for the columnar-direct map wave: both sides
-// stay SoA. Flags every wave row in [begin, end) that some point of the
-// filter block (filt / filt_stride / filt_size, same lane layout) strictly
+// Column-at-a-time SZB probe for the plain map wave: both sides stay SoA
+// (the wave rows are mapped `.zsc` columns or a transposed heap tile).
+// Flags every wave row in [begin, end) that some point of the filter
+// block (filt / filt_stride / filt_size, same lane layout) strictly
 // dominates: out[i - begin] = 1 iff row i is dominated. Returns the number
 // of dominated rows. filt_size == 0 leaves out all-zero.
 //
@@ -131,9 +132,10 @@ class DominanceBlock {
 // minima of every kMaskTilePoints-sized tile. "Does any filter point
 // dominate p" is invariant under permutation of the filter, so probing
 // the reordered copy answers identically to probing the source block; the
-// clustering only makes the min test selective. Built once per query
-// plan; the source block stays untouched (the row-cursor ablation path
-// keeps probing it directly).
+// clustering only makes the min test selective. The SZB filter
+// (core/query_plan.h) builds one per filter and keeps only this copy: the
+// map wave's mask kernel and the per-point probes (AnyDominates) both
+// read it.
 struct MaskFilterIndex {
   DominanceBlock block;
   // Per-dimension tile minima: min of dimension k over tile t lives at
@@ -150,6 +152,21 @@ struct MaskFilterIndex {
   size_t super_stride = 0;
 
   explicit MaskFilterIndex(const DominanceBlock& src);
+
+  size_t size() const { return block.size(); }
+
+  // True iff some filter point strictly dominates `p`: the min-pruned
+  // mask probe for one point (a row-major point is a one-row SoA block of
+  // stride 1), for callers outside the mask wave.
+  bool AnyDominates(std::span<const Coord> p) const {
+    ZSKY_DCHECK(p.size() == block.dim());
+    const simd::MaskFilterPruning prune = pruning();
+    uint8_t dominated = 0;
+    SoAMaskAnyDominated(p.data(), 1, block.dim(), 0, 1, block.lanes(),
+                        block.lane_stride(), block.size(), &prune,
+                        &dominated);
+    return dominated != 0;
+  }
 
   // The descriptor SoAMaskAnyDominated takes; valid while *this lives.
   simd::MaskFilterPruning pruning() const {

@@ -39,7 +39,7 @@ using CountDominatorsFn = size_t (*)(const Coord* base, size_t stride,
 using MarkDominatedByFn = size_t (*)(const Coord* base, size_t stride,
                                      uint32_t dim, size_t begin, size_t end,
                                      const Coord* p, uint8_t* out);
-// The columnar-direct map-wave primitive: both operands are SoA. For each
+// The plain map-wave primitive: both operands are SoA. For each
 // wave row i in [begin, end), sets out[i - begin] to 1 iff some point of
 // the filter block (filt, filt_stride, filt_size) strictly dominates it;
 // returns the number of dominated rows. Equivalent to running

@@ -18,7 +18,8 @@ namespace zsky {
 // synchronization.
 struct ScanCounters {
   // Bytes copied by RowBlockCursor's columnar->row-major transpose. The
-  // columnar-direct map wave exists to keep this at zero.
+  // plain map wave reads `.zsc` columns in place to keep this at zero
+  // (its heap tile transposes are not file transposes and never count).
   std::atomic<uint64_t> transpose_bytes{0};
 
   // Bytes touched by the async readahead worker (pages pulled ahead of

@@ -93,16 +93,11 @@ struct ExecutorOptions {
   // sample skyline (the SIMD kernel scans it lane-wise, with a ZB-tree
   // walk only for survivors of an oversized block). Off = per-point
   // SZB-tree walk for every mapped point (the PR-1 behavior). Only
-  // effective together with use_block_kernel.
+  // effective together with use_block_kernel. A plain full-space query
+  // runs the block as the min-pruned SoA mask wave over every backing
+  // (docs/storage.md): mapped `.zsc` columns in place, heap rows as
+  // transposed cache-resident tiles.
   bool batch_szb_filter = true;
-  // Columnar-direct map wave (docs/storage.md): when the dataset view
-  // exposes a uniform-stride SoA span (`.zsc` backings) and the query is
-  // a plain full-space skyline, job 1's SZB filter runs the
-  // column-at-a-time mask kernel straight over the mapped columns —
-  // no RowBlockCursor transpose at all. Off = every backing takes the
-  // cursor path (the ablation baseline bench_outofcore measures against).
-  // Only effective together with use_block_kernel.
-  bool columnar_direct = true;
   // Async readahead on `.zsc` backings: scans announce the next block's
   // row range and the dataset's worker thread faults those pages in ahead
   // of the scan (io/columnar.h). Off = the executor disarms the view's

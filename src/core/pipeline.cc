@@ -177,7 +177,7 @@ struct QueryRouting {
   // replaced per query; a dominator inside the box dominates in the query
   // too, so this one is sound.
   SzbFilter box_filter;
-  const DominanceBlock* probe_block = nullptr;
+  const MaskFilterIndex* probe_block = nullptr;
   const ZBTree* probe_tree = nullptr;
 };
 
@@ -406,30 +406,16 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
   BuildQueryRouting(routing, plan, v, desc, options, codec, zgroup, grid,
                     partitioner.num_groups());
   pm.regions_pruned_by_box = routing.regions_pruned_by_box;
-  // The plain full-space skyline takes the two-pass block loop below,
-  // byte-for-byte the pre-QueryDesc code path.
+  // The plain full-space skyline takes the mask wave below; every other
+  // desc takes the desc-aware per-row path.
   const bool plain = v.identity && !desc.has_box();
-  // Columnar-direct map wave: when the backing exposes a uniform-stride
-  // SoA span (`.zsc` mappings), the plain path runs the column-at-a-time
-  // mask kernel straight over the mapped columns — zero transpose. The
-  // mask is exactly the per-row AnyDominates answer, and routing/probing
-  // happen in the same row order with the same predicates, so the emitted
-  // candidate stream is bit-identical to the cursor path's.
+  // A `.zsc` mapping exposes its columns as one uniform-stride SoA span,
+  // which the mask wave reads in place (zero transpose).
   const Coord* soa_base = nullptr;
   size_t soa_stride = 0;
-  const bool columnar_direct =
-      plain && options.columnar_direct && options.use_block_kernel &&
-      points.SoaSpan(&soa_base, &soa_stride);
-  // Min-pruned probe index over the SZB filter block for the mask wave:
-  // undominated rows skip every filter tile whose per-dimension min
-  // exceeds them somewhere instead of proving a full-block miss. The
-  // plan's block itself stays untouched: the cursor ablation path probes
-  // it in its original order.
-  std::optional<MaskFilterIndex> direct_filter;
-  if (columnar_direct && plan.szb_block.has_value() &&
-      plan.szb_block->size() > 0) {
-    direct_filter.emplace(*plan.szb_block);
-  }
+  const bool in_place = plain && points.SoaSpan(&soa_base, &soa_stride);
+  const MaskFilterIndex* filter_block =
+      plan.szb_block.has_value() ? &*plan.szb_block : nullptr;
 
   size_t num_map_tasks = std::min<size_t>(options.num_map_tasks, n);
   if (options.map_morsel_rows > 0) {
@@ -479,34 +465,40 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
     size_t local_dropped = 0;
     size_t local_box_dropped = 0;
     size_t local_tombstoned = 0;
-    if (columnar_direct) {
-      // Columnar-direct wave: the SZB filter's block scan runs
-      // column-at-a-time straight over the mapped `.zsc` columns — no
-      // RowBlockCursor, no transpose. Only mask survivors are gathered
-      // row-major (dim strided loads) for the tree probe and the router.
-      // Row order, predicates and counter increments match the cursor
-      // path's two passes exactly, so the emitted stream is
-      // bit-identical.
-      constexpr size_t kDirectRows = RowBlockCursor::kDefaultBlockRows;
-      std::vector<uint8_t> mask(kDirectRows);
+    if (plain) {
+      // Plain map wave (Algorithm 3 lines 2-3, then routing), one loop
+      // over SoA tiles: a `.zsc` mapping supplies its columns in place;
+      // any other backing has each RowBlockCursor block transposed into a
+      // task-local tile of kTileRows rows, small enough to stay
+      // cache-resident between the mask pass and the routing pass. Each
+      // tile runs the min-pruned mask kernel against the plan's filter
+      // block (all-clear without one), the ZB-tree probe for mask
+      // survivors (the band's overflow past kSzbBlockCap, or the whole
+      // band without a block), then routing — in row order, so the
+      // emitted stream and every counter are the same on every backing.
+      constexpr size_t kTileRows = 2048;
+      // The in-place span is walked in cursor-sized steps, which are also
+      // the readahead and release granularity of a `.zsc` mapping.
+      constexpr size_t kSpanRows = RowBlockCursor::kDefaultBlockRows;
+      std::vector<uint8_t> mask(in_place ? kSpanRows : kTileRows);
       std::vector<Coord> pbuf(dim);
-      const bool have_block = direct_filter.has_value();
       simd::MaskFilterPruning pruning{};
-      if (have_block) pruning = direct_filter->pruning();
-      for (size_t b0 = begin; b0 < end; b0 += kDirectRows) {
-        const size_t b1 = std::min(end, b0 + kDirectRows);
-        points.WillNeedRows(b1, std::min(end, b1 + kDirectRows));
-        if (have_block) {
-          SoAMaskAnyDominated(soa_base, soa_stride, dim, b0, b1,
-                              direct_filter->block.lanes(),
-                              direct_filter->block.lane_stride(),
-                              direct_filter->block.size(), &pruning,
-                              mask.data());
+      if (filter_block != nullptr) pruning = filter_block->pruning();
+      // Filters, probes and routes rows [b0, b1) of the SoA block at
+      // `base`; row b0 is dataset row `first_row`.
+      auto wave = [&](const Coord* base, size_t stride, size_t b0, size_t b1,
+                      size_t first_row) {
+        if (filter_block != nullptr) {
+          SoAMaskAnyDominated(base, stride, dim, b0, b1,
+                              filter_block->block.lanes(),
+                              filter_block->block.lane_stride(),
+                              filter_block->size(), &pruning, mask.data());
         } else {
           std::fill_n(mask.data(), b1 - b0, uint8_t{0});
         }
         for (size_t i = b0; i < b1; ++i) {
-          if (alive != nullptr && alive[i] == 0) {
+          const size_t row = first_row + (i - b0);
+          if (alive != nullptr && alive[row] == 0) {
             ++local_tombstoned;
             continue;
           }
@@ -514,9 +506,7 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
             ++local_filtered;
             continue;
           }
-          for (uint32_t k = 0; k < dim; ++k) {
-            pbuf[k] = soa_base[k * soa_stride + i];
-          }
+          for (uint32_t k = 0; k < dim; ++k) pbuf[k] = base[k * stride + i];
           const std::span<const Coord> p(pbuf.data(), dim);
           if (plan.szb_tree != nullptr &&
               plan.szb_tree->ExistsDominatorOf(p)) {
@@ -528,67 +518,48 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
             ++local_dropped;
             continue;
           }
-          emit(gid, static_cast<uint32_t>(i));
+          emit(gid, static_cast<uint32_t>(row));
         }
-        points.ReleaseRows(b0, b1);
+      };
+      if (in_place) {
+        for (size_t b0 = begin; b0 < end; b0 += kSpanRows) {
+          const size_t b1 = std::min(end, b0 + kSpanRows);
+          points.WillNeedRows(b1, std::min(end, b1 + kSpanRows));
+          wave(soa_base, soa_stride, b0, b1, b0);
+          points.ReleaseRows(b0, b1);
+        }
+      } else {
+        std::vector<Coord> tile(kTileRows * dim);
+        RowBlockCursor cursor(points, begin, end);
+        RowBlockCursor::Block block;
+        while (cursor.Next(&block)) {
+          for (size_t t0 = 0; t0 < block.rows; t0 += kTileRows) {
+            const size_t rows = std::min(kTileRows, block.rows - t0);
+            const Coord* src = block.data + t0 * dim;
+            for (size_t r = 0; r < rows; ++r) {
+              for (uint32_t k = 0; k < dim; ++k) {
+                tile[k * kTileRows + r] = src[r * dim + k];
+              }
+            }
+            wave(tile.data(), kTileRows, 0, rows, block.first_row + t0);
+          }
+        }
       }
       filtered.fetch_add(local_filtered, std::memory_order_relaxed);
       dropped.fetch_add(local_dropped, std::memory_order_relaxed);
       tombstoned.fetch_add(local_tombstoned, std::memory_order_relaxed);
       return;
     }
-    // The split is a row-range over the view: a heap backing yields it as
-    // one zero-copy block (the pre-view memory walk, byte for byte), an
-    // mmap'd columnar backing as transposed blocks streamed through the
-    // page cache — and released behind the scan under a residency budget.
-    std::vector<uint32_t> survivors;
+    // Desc-aware path. The split is a row-range over the view: a heap
+    // backing yields it as one zero-copy block, an mmap'd columnar backing
+    // as transposed blocks streamed through the page cache — and released
+    // behind the scan under a residency budget.
     std::vector<Coord> qbuf(codec.dim());
     size_t local_pruned_sketch = 0;
     auto scan_rows = [&](size_t range_begin, size_t range_end) {
     RowBlockCursor cursor(points, range_begin, range_end);
     RowBlockCursor::Block block;
     while (cursor.Next(&block)) {
-      if (plain) {
-        // Pass 1 (per block): survivors of the sample-skyline filter. With
-        // the batched filter each probe is one SIMD block scan (tile
-        // early-exit) instead of a pointer-chasing tree walk; the tree
-        // only sees points the block could not reject.
-        survivors.clear();
-        survivors.reserve(block.rows);
-        for (size_t i = 0; i < block.rows; ++i) {
-          if (alive != nullptr && alive[block.first_row + i] == 0) {
-            ++local_tombstoned;
-            continue;
-          }
-          const std::span<const Coord> p(block.data + i * dim, dim);
-          bool dominated = false;
-          if (plan.szb_block.has_value()) {
-            dominated = plan.szb_block->AnyDominates(p);
-            if (!dominated && plan.szb_tree != nullptr) {
-              dominated = plan.szb_tree->ExistsDominatorOf(p);
-            }
-          } else if (plan.szb_tree != nullptr) {
-            dominated = plan.szb_tree->ExistsDominatorOf(p);
-          }
-          if (dominated) {
-            ++local_filtered;
-          } else {
-            survivors.push_back(static_cast<uint32_t>(i));
-          }
-        }
-        // Pass 2 (per block, while it is still cache-hot): route the
-        // survivors.
-        for (uint32_t i : survivors) {
-          const std::span<const Coord> p(block.data + i * dim, dim);
-          const int32_t gid = partitioner.GroupOf(p);
-          if (gid == kDroppedGroup) {
-            ++local_dropped;
-            continue;
-          }
-          emit(gid, static_cast<uint32_t>(block.first_row + i));
-        }
-        continue;
-      }
       // Desc-aware path: transform, route FIRST (so a box-pruned region
       // rejects the point before the box test or the filter probe), then
       // box-test, then probe.
@@ -653,7 +624,7 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
       }
     }
     };  // scan_rows
-    if (!plain && desc.has_box() && points.has_sketch() &&
+    if (desc.has_box() && points.has_sketch() &&
         v.identity_projection) {
       // Sketch pruning: a `.zsc` block whose per-column [min, max] is
       // disjoint from the constraint box (in original coordinates)

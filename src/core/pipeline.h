@@ -34,16 +34,18 @@ using CandidateList = std::vector<std::pair<int32_t, uint32_t>>;
 // Every wave of both jobs runs on `pool`, the caller's persistent pool;
 // it must not be null.
 //
-// `points` is a DatasetView: heap PointSets convert implicitly and take
-// the exact pre-view code path (zero-copy row blocks), while mmap'd
+// `points` is a DatasetView: heap PointSets convert implicitly, and mmap'd
 // columnar datasets (io/columnar.h) are consumed as row-ranges over the
-// view — map splits stream blocks via RowBlockCursor, and only filter
-// survivors / merge candidates are ever materialized on the heap. The
-// result is bit-identical across backings by construction.
+// view — only filter survivors / merge candidates are ever materialized
+// on the heap. A plain query's map wave is one loop over SoA tiles (the
+// mapped columns in place, or heap rows transposed into cache-resident
+// tiles) running the min-pruned SZB mask kernel; other descs scan
+// RowBlockCursor blocks row by row. The result and the job-1 counters are
+// bit-identical across backings by construction.
 
 // Both jobs take a QueryDesc (common/query_desc.h) selecting the query
-// variant. The default desc is the plain full-space skyline and keeps the
-// seed's exact code path. A non-default desc resolves its shape through
+// variant. The default desc is the plain full-space skyline and takes the
+// mask wave above. A non-default desc resolves its shape through
 // the plan's variant cache (PreparedPlan::Variant) and handles the
 // constraint box per query: the mapper routes each point first so that
 // whole partitions whose RZ-region falls outside the box are dropped

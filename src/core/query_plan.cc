@@ -163,19 +163,20 @@ SzbFilter BuildSzbFilter(const ZOrderCodec* codec, const PointSet& band,
   // The filter has two implementations with identical answers ("is p
   // strictly dominated by some band point?"):
   //  - batched: a DominanceBlock over the first kSzbBlockCap band points,
-  //    scanned by the SIMD kernel; when the band is larger, a ZB-tree over
-  //    the remainder catches what the block missed. For the common case
-  //    (band <= cap) the mapper never touches a tree.
+  //    scanned by the SIMD kernels through its min-pruned MaskFilterIndex
+  //    (built here, once per filter, not per query); when the band is
+  //    larger, a ZB-tree over the remainder catches what the block missed.
+  //    For the common case (band <= cap) the mapper never touches a tree.
   //  - tree walk: the per-point SZB-tree probe (kept as the
   //    scalar/ablation path).
   // k > 1 probes *count* dominators (CountDominatorsOf), which only the
   // tree supports, so the k-band filter is always a pure tree.
-  constexpr size_t kSzbBlockCap = 4096;
   if (k == 1 && options.batch_szb_filter && options.use_block_kernel) {
     const size_t head = std::min(band.size(), kSzbBlockCap);
-    filter.block.emplace(band.dim());
-    filter.block->Reserve(head);
-    for (size_t i = 0; i < head; ++i) filter.block->Append(band[i]);
+    DominanceBlock block(band.dim());
+    block.Reserve(head);
+    for (size_t i = 0; i < head; ++i) block.Append(band[i]);
+    filter.block.emplace(block);
     if (band.size() > head) {
       PointSet rest(band.dim());
       rest.Reserve(band.size() - head);

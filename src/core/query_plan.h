@@ -23,17 +23,23 @@ namespace zsky {
 struct PreparedPlan;
 
 // The SZB mapper filter over a sample band: for k == 1 (`band` is a
-// dominance-free skyline) the batched DominanceBlock head + ZB-tree
-// overflow; for k > 1 (`band` is a k-band) a pure ZB-tree, since the probe
-// is CountDominatorsOf rather than an exists-test. Built by the plan, by
-// plan variants, and per query for the constrained in-box filter
-// (pipeline.cc) — one construction path for all three.
+// dominance-free skyline) the batched block head + ZB-tree overflow; for
+// k > 1 (`band` is a k-band) a pure ZB-tree, since the probe is
+// CountDominatorsOf rather than an exists-test. The block is held as its
+// min-pruned MaskFilterIndex (a Morton-ordered copy plus tile minima): the
+// plain map wave's mask kernel and every per-point probe read that one
+// copy. Built by the plan, by plan variants, and per query for the
+// constrained in-box filter (pipeline.cc) — one construction path for
+// all three.
 struct SzbFilter {
-  std::optional<DominanceBlock> block;
+  std::optional<MaskFilterIndex> block;
   std::unique_ptr<ZBTree> tree;
 
   bool empty() const { return !block.has_value() && tree == nullptr; }
 };
+
+// Band points the batched filter's block holds; the rest go to the tree.
+inline constexpr size_t kSzbBlockCap = 4096;
 
 SzbFilter BuildSzbFilter(const ZOrderCodec* codec, const PointSet& band,
                          uint32_t k, const ExecutorOptions& options,
@@ -124,9 +130,10 @@ struct PreparedPlan {
 
   // SZB mapper filter (Algorithm 3 lines 2-3); present only for Z-order
   // schemes with the filter enabled. The block covers the head of the
-  // sample skyline for the SIMD scan; the tree holds the overflow (or the
-  // whole skyline when the batched filter is off).
-  std::optional<DominanceBlock> szb_block;
+  // sample skyline for the SIMD scan (as the min-pruned index the map
+  // wave's mask kernel takes); the tree holds the overflow (or the whole
+  // skyline when the batched filter is off).
+  std::optional<MaskFilterIndex> szb_block;
   std::unique_ptr<ZBTree> szb_tree;
 
   // Plan-shape statistics (copied into every query's PhaseMetrics).

@@ -117,8 +117,9 @@ struct JobMetrics {
 
   // Out-of-core read path (deltas of the process-wide ScanCounters over
   // this job, filled by the pipeline): bytes moved through the
-  // RowBlockCursor transpose (0 when the columnar-direct wave served the
-  // whole scan), readahead effort and payoff, and rows skipped by the
+  // RowBlockCursor's columnar transpose (0 when the plain mask wave read a
+  // `.zsc` mapping in place, and always 0 on heap backings — the wave's
+  // heap tile transposes are not file transposes), readahead effort and payoff, and rows skipped by the
   // `.zsc` per-block min/max sketch on constrained scans.
   size_t transpose_bytes = 0;
   size_t readahead_bytes = 0;

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "algo/bnl.h"
 #include "algo/skyline.h"
 #include "algo/sort_based.h"
+#include "case_names.h"
 #include "common/quantizer.h"
 #include "gen/synthetic.h"
 
@@ -86,6 +90,11 @@ struct RandomCase {
   uint64_t seed;
 };
 
+std::string CaseName(const RandomCase& c) {
+  return SeededCaseName(c.distribution, c.n, c.dim, c.seed);
+}
+void PrintTo(const RandomCase& c, std::ostream* os) { *os << CaseName(c); }
+
 class SkylineOracleTest : public ::testing::TestWithParam<RandomCase> {};
 
 TEST_P(SkylineOracleTest, BnlAndSortBasedMatchNaive) {
@@ -110,7 +119,8 @@ INSTANTIATE_TEST_SUITE_P(
         RandomCase{Distribution::kAnticorrelated, 400, 4, 7},
         RandomCase{Distribution::kAnticorrelated, 200, 7, 8},
         RandomCase{Distribution::kIndependent, 64, 1, 9},
-        RandomCase{Distribution::kIndependent, 1000, 3, 10}));
+        RandomCase{Distribution::kIndependent, 1000, 3, 10}),
+    CaseNameGenerator());
 
 }  // namespace
 }  // namespace zsky

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 
 #include "algo/bnl.h"
 #include "algo/dnc.h"
@@ -8,6 +10,7 @@
 #include "algo/skyband.h"
 #include "algo/sort_based.h"
 #include "algo/subspace.h"
+#include "case_names.h"
 #include "common/dominance.h"
 #include "common/quantizer.h"
 #include "gen/synthetic.h"
@@ -28,6 +31,11 @@ struct Case {
   uint64_t seed;
 };
 
+std::string CaseName(const Case& c) {
+  return SeededCaseName(c.distribution, c.n, c.dim, c.seed);
+}
+void PrintTo(const Case& c, std::ostream* os) { *os << CaseName(c); }
+
 class DncOracleTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(DncOracleTest, MatchesBnl) {
@@ -45,7 +53,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{Distribution::kAnticorrelated, 800, 7, 5},
                       Case{Distribution::kIndependent, 63, 2, 6},
                       Case{Distribution::kIndependent, 64, 2, 7},
-                      Case{Distribution::kIndependent, 65, 2, 8}));
+                      Case{Distribution::kIndependent, 65, 2, 8}),
+    CaseNameGenerator());
 
 TEST(DncTest, SmallLeafSizes) {
   const PointSet ps = MakePoints(Distribution::kIndependent, 500, 3, 9);
@@ -86,7 +95,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Case{Distribution::kIndependent, 600, 2, 11},
                       Case{Distribution::kIndependent, 600, 4, 12},
                       Case{Distribution::kCorrelated, 600, 3, 13},
-                      Case{Distribution::kAnticorrelated, 500, 5, 14}));
+                      Case{Distribution::kAnticorrelated, 500, 5, 14}),
+    CaseNameGenerator());
 
 TEST(SkybandPropertiesTest, OneBandIsSkyline) {
   const PointSet ps = MakePoints(Distribution::kIndependent, 1000, 4, 15);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 
 #include "algo/skyline.h"
 #include "algo/sort_based.h"
+#include "case_names.h"
 #include "common/dominance.h"
 #include "common/quantizer.h"
 #include "gen/synthetic.h"
@@ -189,6 +192,11 @@ struct ZCase {
   uint64_t seed;
 };
 
+std::string CaseName(const ZCase& c) {
+  return SeededCaseName(c.distribution, c.n, c.dim, c.seed);
+}
+void PrintTo(const ZCase& c, std::ostream* os) { *os << CaseName(c); }
+
 class ZSearchOracleTest : public ::testing::TestWithParam<ZCase> {};
 
 TEST_P(ZSearchOracleTest, MatchesSortBased) {
@@ -207,7 +215,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ZCase{Distribution::kAnticorrelated, 1000, 3, 5},
                       ZCase{Distribution::kAnticorrelated, 800, 6, 6},
                       ZCase{Distribution::kIndependent, 1, 4, 7},
-                      ZCase{Distribution::kIndependent, 63, 2, 8}));
+                      ZCase{Distribution::kIndependent, 63, 2, 8}),
+    CaseNameGenerator());
 
 TEST(ZSearchTest, StatsPopulated) {
   ZOrderCodec codec(4, kBits);
@@ -263,7 +272,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ZCase{Distribution::kCorrelated, 3000, 4, 13},
                       ZCase{Distribution::kAnticorrelated, 1500, 2, 14},
                       ZCase{Distribution::kAnticorrelated, 1000, 5, 15},
-                      ZCase{Distribution::kIndependent, 10, 3, 16}));
+                      ZCase{Distribution::kIndependent, 10, 3, 16}),
+    CaseNameGenerator());
 
 TEST(ZMergeTest, StatsTrackPruning) {
   ZOrderCodec codec(2, kBits);

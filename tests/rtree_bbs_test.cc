@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 
 #include "algo/bnl.h"
 #include "algo/sort_based.h"
+#include "case_names.h"
 #include "common/quantizer.h"
 #include "common/rng.h"
 #include "gen/synthetic.h"
@@ -96,6 +99,11 @@ struct BbsCase {
   uint64_t seed;
 };
 
+std::string CaseName(const BbsCase& c) {
+  return SeededCaseName(c.distribution, c.n, c.dim, c.seed);
+}
+void PrintTo(const BbsCase& c, std::ostream* os) { *os << CaseName(c); }
+
 class BbsOracleTest : public ::testing::TestWithParam<BbsCase> {};
 
 TEST_P(BbsOracleTest, MatchesSortBased) {
@@ -113,7 +121,8 @@ INSTANTIATE_TEST_SUITE_P(
                       BbsCase{Distribution::kAnticorrelated, 1500, 3, 13},
                       BbsCase{Distribution::kAnticorrelated, 800, 6, 14},
                       BbsCase{Distribution::kIndependent, 1, 3, 15},
-                      BbsCase{Distribution::kIndependent, 17, 2, 16}));
+                      BbsCase{Distribution::kIndependent, 17, 2, 16}),
+    CaseNameGenerator());
 
 TEST(BbsTest, EmptyInput) {
   ZOrderCodec codec(3, kBits);

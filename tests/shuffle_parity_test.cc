@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,11 @@ std::string ParityCaseLabel(const ParityCase& c) {
 
 std::string ParityCaseName(const ::testing::TestParamInfo<ParityCase>& info) {
   return ParityCaseLabel(info.param);
+}
+
+// Without it CTest IDs carry the struct's raw bytes, padding included.
+void PrintTo(const ParityCase& c, std::ostream* os) {
+  *os << ParityCaseLabel(c);
 }
 
 class ShuffleParityTest : public ::testing::TestWithParam<ParityCase> {};

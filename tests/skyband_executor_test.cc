@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "algo/skyband.h"
+#include "case_names.h"
 #include "common/dominance.h"
 #include "common/quantizer.h"
 #include "core/skyband_executor.h"
@@ -22,6 +26,12 @@ struct BandCase {
   uint32_t k;
   uint64_t seed;
 };
+
+std::string CaseName(const BandCase& c) {
+  return SeededCaseName(c.distribution, c.n, c.dim, c.seed,
+                        "_k" + std::to_string(c.k));
+}
+void PrintTo(const BandCase& c, std::ostream* os) { *os << CaseName(c); }
 
 class DistributedSkybandTest : public ::testing::TestWithParam<BandCase> {};
 
@@ -46,7 +56,8 @@ INSTANTIATE_TEST_SUITE_P(
         BandCase{Distribution::kIndependent, 3000, 5, 3, 3},
         BandCase{Distribution::kCorrelated, 3000, 4, 2, 4},
         BandCase{Distribution::kAnticorrelated, 2000, 3, 2, 5},
-        BandCase{Distribution::kAnticorrelated, 2000, 4, 5, 6}));
+        BandCase{Distribution::kAnticorrelated, 2000, 4, 5, 6}),
+    CaseNameGenerator());
 
 TEST(DistributedSkybandTest, KOneEqualsDistributedSkyline) {
   const PointSet points = MakePoints(Distribution::kIndependent, 4000, 4, 7);

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "algo/sort_based.h"
+#include "case_names.h"
 #include "common/quantizer.h"
 #include "core/streaming.h"
 #include "gen/synthetic.h"
@@ -20,6 +24,11 @@ struct Case {
   uint32_t dim;
   uint64_t seed;
 };
+
+std::string CaseName(const Case& c) {
+  return SeededCaseName(c.distribution, c.n, c.dim, c.seed);
+}
+void PrintTo(const Case& c, std::ostream* os) { *os << CaseName(c); }
 
 class StreamingOracleTest : public ::testing::TestWithParam<Case> {};
 
@@ -46,7 +55,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{Distribution::kIndependent, 3000, 6, 2},
                       Case{Distribution::kCorrelated, 3000, 4, 3},
                       Case{Distribution::kAnticorrelated, 2000, 2, 4},
-                      Case{Distribution::kAnticorrelated, 1500, 5, 5}));
+                      Case{Distribution::kAnticorrelated, 1500, 5, 5}),
+    CaseNameGenerator());
 
 TEST(StreamingTest, InsertReturnsMembership) {
   ZOrderCodec codec(2, kBits);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <ostream>
+#include <string>
 
 #include "algo/skyline.h"
+#include "case_names.h"
 #include "common/dominance.h"
 #include "common/quantizer.h"
 #include "core/windowed_skyline.h"
@@ -40,6 +43,12 @@ struct WindowCase {
   uint64_t seed;
 };
 
+std::string CaseName(const WindowCase& c) {
+  return SeededCaseName(c.distribution, c.n, c.dim, c.seed,
+                        "_w" + std::to_string(c.window));
+}
+void PrintTo(const WindowCase& c, std::ostream* os) { *os << CaseName(c); }
+
 class WindowedOracleTest : public ::testing::TestWithParam<WindowCase> {};
 
 TEST_P(WindowedOracleTest, MatchesBruteForceAtEveryStep) {
@@ -66,7 +75,8 @@ INSTANTIATE_TEST_SUITE_P(
                                  4},
                       WindowCase{Distribution::kIndependent, 300, 2, 1, 5},
                       WindowCase{Distribution::kIndependent, 100, 3, 1000,
-                                 6}));
+                                 6}),
+    CaseNameGenerator());
 
 TEST(WindowedTest, ExpiredDominatorRevealsSuccessor) {
   // p0 dominates p1; after p0 expires, p1 becomes skyline... but p1 was

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "algo/sort_based.h"
+#include "case_names.h"
 #include "common/quantizer.h"
 #include "gen/synthetic.h"
 #include "index/zmerge.h"
@@ -58,6 +61,12 @@ struct MergeCase {
   uint64_t seed;
 };
 
+std::string CaseName(const MergeCase& c) {
+  return SeededCaseName(c.distribution, c.n, c.dim, c.seed,
+                        "_c" + std::to_string(c.chunks));
+}
+void PrintTo(const MergeCase& c, std::ostream* os) { *os << CaseName(c); }
+
 class ZMergeAllOracleTest : public ::testing::TestWithParam<MergeCase> {};
 
 TEST_P(ZMergeAllOracleTest, EqualsGlobalSkyline) {
@@ -81,7 +90,8 @@ INSTANTIATE_TEST_SUITE_P(
         MergeCase{Distribution::kAnticorrelated, 2000, 2, 5, 4},
         MergeCase{Distribution::kAnticorrelated, 2000, 5, 7, 5},
         MergeCase{Distribution::kIndependent, 100, 3, 50, 6},
-        MergeCase{Distribution::kIndependent, 4000, 3, 1, 7}));
+        MergeCase{Distribution::kIndependent, 4000, 3, 1, 7}),
+    CaseNameGenerator());
 
 TEST(ZMergeAllTest, EmptyInput) {
   ZOrderCodec codec(3, kBits);
