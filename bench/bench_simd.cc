@@ -1,19 +1,27 @@
 // SIMD dispatch bench: per-ISA dominance-kernel throughput, Z-order codec
 // throughput (seed bit-loop vs magic-shuffle scalar vs BMI2 pdep/pext),
-// and the end-to-end pipeline pinned to the scalar tier with the PR-1
+// the end-to-end pipeline pinned to the scalar tier with the original
 // per-point SZB walk vs the best tier with the batched block filter —
-// verifying the skylines are bit-identical. Emits BENCH_simd.json.
+// verifying the skylines are bit-identical — and a sweep of the SZB mask
+// kernel's two orientations over filter sizes, which is where
+// simd::kMaskColumnwiseMaxFilter comes from. Emits BENCH_simd.json.
 //
 // Tiers the host cannot run report as 0 ms / 0x and are omitted from the
 // JSON, so the bench is meaningful on non-AVX2 hardware too.
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "algo/sort_based.h"
 #include "bench_util.h"
 #include "common/cpu.h"
+#include "common/dominance_block.h"
 #include "common/dominance_kernels.h"
+#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "zorder/zorder_codec.h"
 
@@ -22,14 +30,21 @@ namespace {
 
 constexpr int kReps = 3;
 
+// Best of kReps runs; raises `spread_pct` to this timing's
+// (worst - best) / best if that is larger.
 template <typename Fn>
-double BestMs(const Fn& fn, int reps = kReps) {
+double BestMs(const Fn& fn, double& spread_pct) {
   double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
+  double worst = 0.0;
+  for (int r = 0; r < kReps; ++r) {
     Stopwatch watch;
     fn();
     const double ms = watch.ElapsedMs();
     if (r == 0 || ms < best) best = ms;
+    worst = std::max(worst, ms);
+  }
+  if (best > 0.0) {
+    spread_pct = std::max(spread_pct, 100.0 * (worst - best) / best);
   }
   return best;
 }
@@ -39,6 +54,7 @@ double BestMs(const Fn& fn, int reps = kReps) {
 // early exits never mask the kernel's raw rate. ---
 struct KernelTimes {
   double ms[3] = {0.0, 0.0, 0.0};  // Indexed by Isa.
+  double spread_pct = 0.0;
   double Speedup(Isa isa) const {
     const double t = ms[static_cast<int>(isa)];
     return t > 0.0 ? ms[0] / t : 0.0;
@@ -71,7 +87,7 @@ KernelTimes BenchKernels(const PointSet& points) {
                                        flags.data());
       }
       sink = acc;
-    });
+    }, result.spread_pct);
     (void)sink;
   }
   return result;
@@ -101,6 +117,7 @@ struct CodecTimes {
   double decode_scalar_ms = 0.0;
   double decode_bmi2_ms = 0.0;
   bool bmi2 = false;
+  double spread_pct = 0.0;
 };
 
 // Seed-style bit-by-bit decode, the PR-1 baseline.
@@ -131,7 +148,7 @@ CodecTimes BenchCodec(const PointSet& points) {
       acc ^= words[0];
     }
     sink = acc;
-  });
+  }, result.spread_pct);
   result.encode_scalar_ms = BestMs([&] {
     uint64_t acc = 0;
     for (size_t i = 0; i < n; ++i) {
@@ -139,7 +156,7 @@ CodecTimes BenchCodec(const PointSet& points) {
       acc ^= words[0];
     }
     sink = acc;
-  });
+  }, result.spread_pct);
   if (result.bmi2) {
     result.encode_bmi2_ms = BestMs([&] {
       uint64_t acc = 0;
@@ -148,7 +165,7 @@ CodecTimes BenchCodec(const PointSet& points) {
         acc ^= words[0];
       }
       sink = acc;
-    });
+    }, result.spread_pct);
   }
 
   const std::vector<ZAddress> addresses = codec.EncodeAll(points);
@@ -160,7 +177,7 @@ CodecTimes BenchCodec(const PointSet& points) {
       acc ^= out[0];
     }
     sink = acc;
-  });
+  }, result.spread_pct);
   result.decode_scalar_ms = BestMs([&] {
     uint64_t acc = 0;
     for (const ZAddress& a : addresses) {
@@ -168,7 +185,7 @@ CodecTimes BenchCodec(const PointSet& points) {
       acc ^= out[0];
     }
     sink = acc;
-  });
+  }, result.spread_pct);
   if (result.bmi2) {
     result.decode_bmi2_ms = BestMs([&] {
       uint64_t acc = 0;
@@ -177,7 +194,7 @@ CodecTimes BenchCodec(const PointSet& points) {
         acc ^= out[0];
       }
       sink = acc;
-    });
+    }, result.spread_pct);
   }
   (void)sink;
   return result;
@@ -190,6 +207,7 @@ struct EndToEnd {
   double simd_ms = 0.0;
   bool identical = false;
   size_t skyline = 0;
+  double spread_pct = 0.0;
   double Speedup() const { return simd_ms > 0.0 ? scalar_ms / simd_ms : 0.0; }
 };
 
@@ -213,23 +231,203 @@ EndToEnd BenchEndToEnd(const PointSet& points, Isa best) {
   {
     SetActiveIsa(Isa::kScalar);
     const ParallelSkylineExecutor executor(PipelineOptions(false));
-    result.scalar_ms =
-        BestMs([&] { scalar_skyline = executor.Execute(points).skyline; });
+    result.scalar_ms = BestMs(
+        [&] { scalar_skyline = executor.Execute(points).skyline; },
+        result.spread_pct);
   }
   {
     SetActiveIsa(best);
     const ParallelSkylineExecutor executor(PipelineOptions(true));
-    result.simd_ms =
-        BestMs([&] { simd_skyline = executor.Execute(points).skyline; });
+    result.simd_ms = BestMs(
+        [&] { simd_skyline = executor.Execute(points).skyline; },
+        result.spread_pct);
   }
   result.identical = scalar_skyline == simd_skyline;
   result.skyline = simd_skyline.size();
   return result;
 }
 
+// --- 4. SZB mask kernel orientations. The map wave's filter is the
+// plan's sample skyline; its size runs from a handful of points
+// (correlated data) to thousands (anticorrelated). Each filter here is the
+// first `size` points of FilterPool over a 1-in-20 sample of the rows,
+// probed through MaskFilterIndex like the plan's, against every row in
+// RowBlockCursor-sized calls on the best tier, single-threaded. ---
+constexpr size_t kSweepRows = size_t{512} * 1024;
+constexpr uint32_t kSweepDim = simd::kMaskColumnwiseMaxDim;
+constexpr int kSweepTrials = 5;
+constexpr size_t kSweepCallRows = 16384;
+constexpr size_t kSweepSizes[] = {1,   2,   4,   8,    16,   32,   64,  128,
+                                  256, 512, 768, 1024, 1536, 2048, 3072, 4096};
+
+// Median and extremes of one timing over kSweepTrials runs, in ns/row.
+struct NsPerRow {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  double SpreadPct() const {
+    return median > 0.0 ? 100.0 * (max - min) / median : 0.0;
+  }
+};
+
+struct SweepPoint {
+  Distribution dist;
+  size_t filter = 0;
+  NsPerRow rowwise;
+  NsPerRow columnwise;
+  double dominated_frac = 0.0;
+  bool identical = false;
+};
+
+template <typename Fn>
+NsPerRow TimeNsPerRow(const Fn& fn, size_t rows) {
+  std::vector<double> ns(kSweepTrials);
+  for (double& t : ns) {
+    Stopwatch watch;
+    fn();
+    t = watch.ElapsedMs() * 1e6 / static_cast<double>(rows);
+  }
+  std::sort(ns.begin(), ns.end());
+  return {ns[ns.size() / 2], ns.front(), ns.back()};
+}
+
+// Sample rows in filter order: the sample skyline, shuffled, then — for
+// sizes past it, which only correlated data needs — the skyline of what
+// is left, shuffled, and so on, until kSweepSizes' largest size is
+// covered or the sample runs out.
+std::vector<uint32_t> FilterPool(const PointSet& sample, uint64_t seed) {
+  constexpr size_t kPoolSize = 4096;
+  Rng rng(seed);
+  std::vector<uint32_t> pool;
+  std::vector<uint32_t> rest(sample.size());
+  for (uint32_t i = 0; i < rest.size(); ++i) rest[i] = i;
+  while (pool.size() < kPoolSize && !rest.empty()) {
+    const PointSet layer_points = PointSet::Gather(sample, rest);
+    SkylineIndices layer = SortBasedSkyline(layer_points);
+    for (size_t i = layer.size(); i > 1; --i) {
+      std::swap(layer[i - 1], layer[rng.NextBounded(i)]);
+    }
+    std::vector<uint8_t> taken(rest.size(), 0);
+    for (const uint32_t at : layer) {
+      pool.push_back(rest[at]);
+      taken[at] = 1;
+    }
+    std::vector<uint32_t> next;
+    for (size_t i = 0; i < rest.size(); ++i) {
+      if (taken[i] == 0) next.push_back(rest[i]);
+    }
+    rest = std::move(next);
+  }
+  return pool;
+}
+
+std::vector<SweepPoint> BenchMaskSweep(Isa tier) {
+  const simd::KernelTable& table = simd::KernelTableFor(tier);
+  std::vector<SweepPoint> points;
+  for (const Distribution dist :
+       {Distribution::kCorrelated, Distribution::kIndependent,
+        Distribution::kAnticorrelated}) {
+    const PointSet data = MakeData(dist, kSweepRows, kSweepDim, 43);
+    const uint64_t rng_seed = 0x5EED + static_cast<uint64_t>(dist);
+    const size_t n = data.size();
+    std::vector<Coord> soa(n * kSweepDim);
+    for (size_t i = 0; i < n; ++i) {
+      for (uint32_t k = 0; k < kSweepDim; ++k) soa[k * n + i] = data[i][k];
+    }
+    std::vector<uint32_t> sample_rows;
+    for (uint32_t i = 0; i < n; i += 20) sample_rows.push_back(i);
+    const PointSet sample = PointSet::Gather(data, sample_rows);
+    const std::vector<uint32_t> pool = FilterPool(sample, rng_seed);
+    std::vector<uint8_t> rows_mask(n);
+    std::vector<uint8_t> columns_mask(n);
+    for (const size_t size : kSweepSizes) {
+      if (size > pool.size()) break;
+      DominanceBlock block(kSweepDim);
+      for (size_t f = 0; f < size; ++f) block.Append(sample[pool[f]]);
+      const MaskFilterIndex index(block);
+      const simd::MaskFilterPruning pruning = index.pruning();
+      auto run = [&](simd::MaskAnyDominatedFn kernel,
+                     std::vector<uint8_t>& mask) {
+        size_t dominated = 0;
+        for (size_t b0 = 0; b0 < n; b0 += kSweepCallRows) {
+          const size_t b1 = std::min(n, b0 + kSweepCallRows);
+          dominated += kernel(soa.data(), n, kSweepDim, b0, b1,
+                              index.block.lanes(), index.block.lane_stride(),
+                              index.size(), &pruning, mask.data() + b0);
+        }
+        return dominated;
+      };
+      SweepPoint point;
+      point.dist = dist;
+      point.filter = size;
+      size_t dominated = 0;
+      point.rowwise = TimeNsPerRow(
+          [&] { dominated = run(table.mask_any_dominated, rows_mask); }, n);
+      point.columnwise = TimeNsPerRow(
+          [&] {
+            run(table.mask_any_dominated_columnwise, columns_mask);
+          },
+          n);
+      point.identical = rows_mask == columns_mask;
+      point.dominated_frac =
+          static_cast<double>(dominated) / static_cast<double>(n);
+      std::printf("%-16s %6zu %10.1f %6.1f%% %10.1f %6.1f%% %8.4f %s\n",
+                  DistributionName(dist).data(), size, point.rowwise.median,
+                  point.rowwise.SpreadPct(), point.columnwise.median,
+                  point.columnwise.SpreadPct(), point.dominated_frac,
+                  point.identical ? "yes" : "NO");
+      points.push_back(point);
+    }
+  }
+  return points;
+}
+
+// A size counts as a column-wise win when its median is at least this
+// much below the row-wise one. Around the crossover the two orientations
+// cost the same and single medians move by 10-20% between runs, so
+// without a margin the crossover would flap between neighbouring sizes.
+constexpr double kSweepWinMargin = 0.2;
+
+// The largest swept size up to which the column-wise orientation won, at
+// every swept size and on every distribution that reached it — what
+// kMaskColumnwiseMaxFilter should be.
+size_t SweepCrossover(const std::vector<SweepPoint>& points) {
+  size_t crossover = 0;
+  for (const size_t size : kSweepSizes) {
+    bool measured = false;
+    for (const SweepPoint& p : points) {
+      if (p.filter != size) continue;
+      measured = true;
+      if (p.columnwise.median > (1.0 - kSweepWinMargin) * p.rowwise.median) {
+        return crossover;
+      }
+    }
+    if (!measured) break;
+    crossover = size;
+  }
+  return crossover;
+}
+
+std::string HostCpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        std::string model = line.substr(colon + 2);
+        std::replace(model.begin(), model.end(), '"', '\'');
+        return model;
+      }
+    }
+  }
+  return "unknown";
+}
+
 void WriteJson(const char* path, size_t n, uint32_t dim,
                const KernelTimes& kernel, const CodecTimes& codec,
-               const EndToEnd& e2e) {
+               const EndToEnd& e2e, Isa sweep_tier,
+               const std::vector<SweepPoint>& sweep) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::printf("!! cannot write %s\n", path);
@@ -240,11 +438,22 @@ void WriteJson(const char* path, size_t n, uint32_t dim,
                "  \"workload\": {\"n\": %zu, \"dim\": %u, \"bits\": %u, "
                "\"distribution\": \"independent\"},\n",
                n, dim, kBits);
-  std::fprintf(f, "  \"host\": {\"sse42\": %s, \"avx2\": %s, \"bmi2\": %s},\n",
+  std::fprintf(f,
+               "  \"host\": {\"cpu\": \"%s\", \"cores\": %u, \"sse42\": %s, "
+               "\"avx2\": %s, \"bmi2\": %s},\n",
+               HostCpuModel().c_str(), std::thread::hardware_concurrency(),
                HostCpuFeatures().sse42 ? "true" : "false",
                HostCpuFeatures().avx2 ? "true" : "false",
                HostCpuFeatures().bmi2 ? "true" : "false");
-  std::fprintf(f, "  \"kernel\": {\"scalar_ms\": %.3f", kernel.ms[0]);
+  std::fprintf(f,
+               "  \"trials\": {\"kernel\": %d, \"codec\": %d, "
+               "\"end_to_end\": %d, \"mask_sweep\": %d, \"statistic\": "
+               "\"kernel, codec, end_to_end: best of N, spread_pct = "
+               "(max - min) / min; mask_sweep: median of N, spread_pct = "
+               "(max - min) / median\"},\n",
+               kReps, kReps, kReps, kSweepTrials);
+  std::fprintf(f, "  \"kernel\": {\"spread_pct\": %.1f, \"scalar_ms\": %.3f",
+               kernel.spread_pct, kernel.ms[0]);
   for (Isa isa : {Isa::kSse42, Isa::kAvx2}) {
     if (!IsaSupported(isa)) continue;
     std::fprintf(f, ", \"%s_ms\": %.3f, \"%s_speedup\": %.3f",
@@ -253,9 +462,11 @@ void WriteJson(const char* path, size_t n, uint32_t dim,
   }
   std::fprintf(f, "},\n");
   std::fprintf(f,
-               "  \"codec_encode\": {\"bitloop_ms\": %.3f, "
-               "\"shuffle_ms\": %.3f, \"shuffle_speedup\": %.3f",
-               codec.encode_bitloop_ms, codec.encode_scalar_ms,
+               "  \"codec_encode\": {\"spread_pct\": %.1f, "
+               "\"bitloop_ms\": %.3f, \"shuffle_ms\": %.3f, "
+               "\"shuffle_speedup\": %.3f",
+               codec.spread_pct, codec.encode_bitloop_ms,
+               codec.encode_scalar_ms,
                codec.encode_scalar_ms > 0.0
                    ? codec.encode_bitloop_ms / codec.encode_scalar_ms
                    : 0.0);
@@ -268,9 +479,11 @@ void WriteJson(const char* path, size_t n, uint32_t dim,
   }
   std::fprintf(f, "},\n");
   std::fprintf(f,
-               "  \"codec_decode\": {\"bitloop_ms\": %.3f, "
-               "\"shuffle_ms\": %.3f, \"shuffle_speedup\": %.3f",
-               codec.decode_bitloop_ms, codec.decode_scalar_ms,
+               "  \"codec_decode\": {\"spread_pct\": %.1f, "
+               "\"bitloop_ms\": %.3f, \"shuffle_ms\": %.3f, "
+               "\"shuffle_speedup\": %.3f",
+               codec.spread_pct, codec.decode_bitloop_ms,
+               codec.decode_scalar_ms,
                codec.decode_scalar_ms > 0.0
                    ? codec.decode_bitloop_ms / codec.decode_scalar_ms
                    : 0.0);
@@ -283,11 +496,38 @@ void WriteJson(const char* path, size_t n, uint32_t dim,
   }
   std::fprintf(f, "},\n");
   std::fprintf(f,
-               "  \"end_to_end\": {\"scalar_ms\": %.3f, \"simd_ms\": %.3f, "
-               "\"speedup\": %.3f, \"identical\": %s, "
-               "\"skyline_size\": %zu}\n",
-               e2e.scalar_ms, e2e.simd_ms, e2e.Speedup(),
+               "  \"end_to_end\": {\"spread_pct\": %.1f, \"scalar_ms\": %.3f, "
+               "\"simd_ms\": %.3f, \"speedup\": %.3f, \"identical\": %s, "
+               "\"skyline_size\": %zu},\n",
+               e2e.spread_pct, e2e.scalar_ms, e2e.simd_ms, e2e.Speedup(),
                e2e.identical ? "true" : "false", e2e.skyline);
+  std::fprintf(f,
+               "  \"mask_sweep\": {\"rows\": %zu, \"dim\": %u, "
+               "\"tier\": \"%s\", \"filter\": \"first N points of the "
+               "shuffled skyline layers of a 1-in-20 sample, probed in "
+               "MaskFilterIndex order\", "
+               "\"columnwise_max_filter\": %zu, \"sweep_crossover\": %zu, "
+               "\"crossover_rule\": \"largest swept size up to which the "
+               "column-wise median was at least %.0f%% below the row-wise "
+               "one on every distribution\",\n"
+               "    \"points\": [",
+               kSweepRows, kSweepDim, IsaName(sweep_tier).data(),
+               simd::kMaskColumnwiseMaxFilter, SweepCrossover(sweep),
+               100.0 * kSweepWinMargin);
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const SweepPoint& p = sweep[i];
+    std::fprintf(
+        f,
+        "%s\n      {\"dist\": \"%s\", \"filter\": %zu, "
+        "\"rowwise_ns_per_row\": %.1f, \"rowwise_spread_pct\": %.1f, "
+        "\"columnwise_ns_per_row\": %.1f, \"columnwise_spread_pct\": %.1f, "
+        "\"dominated_frac\": %.5f, \"identical\": %s}",
+        i == 0 ? "" : ",", DistributionName(p.dist).data(), p.filter,
+        p.rowwise.median, p.rowwise.SpreadPct(), p.columnwise.median,
+        p.columnwise.SpreadPct(), p.dominated_frac,
+        p.identical ? "true" : "false");
+  }
+  std::fprintf(f, "\n    ]}\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
@@ -345,6 +585,21 @@ int Main() {
 
   const EndToEnd e2e = BenchEndToEnd(points, best);
   SetActiveIsa(initial);
+
+  std::printf("SZB mask sweep, %zu rows x %ud, tier %s, median of %d "
+              "(ns/row, spread)\n",
+              kSweepRows, kSweepDim, IsaName(best).data(), kSweepTrials);
+  std::printf("%-16s %6s %10s %7s %10s %7s %8s %s\n", "distribution",
+              "filter", "row-wise", "", "col-wise", "", "dom", "identical");
+  const std::vector<SweepPoint> sweep = BenchMaskSweep(best);
+  const size_t crossover = SweepCrossover(sweep);
+  const bool sweep_identical =
+      std::all_of(sweep.begin(), sweep.end(),
+                  [](const SweepPoint& p) { return p.identical; });
+  std::printf("column-wise >= %.0f%% faster up to filter %zu; "
+              "kMaskColumnwiseMaxFilter = %zu\n",
+              100.0 * kSweepWinMargin, crossover,
+              simd::kMaskColumnwiseMaxFilter);
   std::printf("%-28s %9.1fms -> %9.1fms %7.2fx  identical=%s\n",
               "end-to-end Execute", e2e.scalar_ms, e2e.simd_ms, e2e.Speedup(),
               e2e.identical ? "yes" : "NO");
@@ -367,8 +622,17 @@ int Main() {
   std::printf("# CSV,end_to_end,%.3f,%.3f,%.3f\n", e2e.scalar_ms, e2e.simd_ms,
               e2e.Speedup());
 
-  WriteJson("BENCH_simd.json", kN, kDim, kernel, codec, e2e);
-  return e2e.identical ? 0 : 1;
+  for (const SweepPoint& p : sweep) {
+    std::printf("# CSV,mask_%s_%zu,%.1f,%.1f,%.3f\n",
+                DistributionName(p.dist).data(), p.filter, p.rowwise.median,
+                p.columnwise.median,
+                p.columnwise.median > 0.0
+                    ? p.rowwise.median / p.columnwise.median
+                    : 0.0);
+  }
+
+  WriteJson("BENCH_simd.json", kN, kDim, kernel, codec, e2e, best, sweep);
+  return e2e.identical && sweep_identical ? 0 : 1;
 }
 
 }  // namespace

@@ -10,15 +10,15 @@ namespace simd {
 
 namespace {
 
-constexpr KernelTable kScalarTable = {AnyDominatesScalar,
-                                      CountDominatorsScalar,
-                                      MarkDominatedByScalar,
-                                      MaskAnyDominatedScalar};
-constexpr KernelTable kSse42Table = {AnyDominatesSse42, CountDominatorsSse42,
-                                     MarkDominatedBySse42,
-                                     MaskAnyDominatedSse42};
-constexpr KernelTable kAvx2Table = {AnyDominatesAvx2, CountDominatorsAvx2,
-                                    MarkDominatedByAvx2, MaskAnyDominatedAvx2};
+constexpr KernelTable kScalarTable = {
+    AnyDominatesScalar, CountDominatorsScalar, MarkDominatedByScalar,
+    MaskAnyDominatedScalar, MaskAnyDominatedColumnwiseScalar};
+constexpr KernelTable kSse42Table = {
+    AnyDominatesSse42, CountDominatorsSse42, MarkDominatedBySse42,
+    MaskAnyDominatedSse42, MaskAnyDominatedColumnwiseSse42};
+constexpr KernelTable kAvx2Table = {
+    AnyDominatesAvx2, CountDominatorsAvx2, MarkDominatedByAvx2,
+    MaskAnyDominatedAvx2, MaskAnyDominatedColumnwiseAvx2};
 
 }  // namespace
 
@@ -69,9 +69,14 @@ size_t SoAMaskAnyDominated(const Coord* base, size_t stride, uint32_t dim,
     std::fill_n(out, end - begin, uint8_t{0});
     return 0;
   }
-  return simd::ActiveKernelTable().mask_any_dominated(
-      base, stride, dim, begin, end, filt, filt_stride, filt_size, pruning,
-      out);
+  const simd::KernelTable& table = simd::ActiveKernelTable();
+  const simd::MaskAnyDominatedFn kernel =
+      filt_size <= simd::kMaskColumnwiseMaxFilter &&
+              dim <= simd::kMaskColumnwiseMaxDim
+          ? table.mask_any_dominated_columnwise
+          : table.mask_any_dominated;
+  return kernel(base, stride, dim, begin, end, filt, filt_stride, filt_size,
+                pruning, out);
 }
 
 namespace {

@@ -46,16 +46,19 @@ size_t SoAMarkDominatedBy(const Coord* base, size_t stride, uint32_t dim,
 // Flags every wave row in [begin, end) that some point of the filter
 // block (filt / filt_stride / filt_size, same lane layout) strictly
 // dominates: out[i - begin] = 1 iff row i is dominated. Returns the number
-// of dominated rows. filt_size == 0 leaves out all-zero.
+// of dominated rows. filt_size == 0 leaves out all-zero. Filters of at
+// most simd::kMaskColumnwiseMaxFilter points in at most
+// simd::kMaskColumnwiseMaxDim dimensions run the column-wise kernel, all
+// others the min-pruned row-wise kernel (dominance_kernels.h).
 //
 // `pruning` is optional (pass nullptr for a full scan): the two-level
 // min-pruning descriptor built by MaskFilterIndex (see
-// dominance_kernels.h for the layout and skipping rule). A tile or
-// supertile whose min exceeds the row on any dimension cannot hold a
-// dominator and is skipped, which turns the full-block proof an
-// undominated row otherwise pays into a handful of min-checks. Pruning
-// never skips a dominator, so output is bit-identical with and without
-// the index.
+// dominance_kernels.h for the layout and skipping rule), which only the
+// row-wise kernel reads. A tile or supertile whose min exceeds the row on
+// any dimension cannot hold a dominator and is skipped, which turns the
+// full-block proof an undominated row otherwise pays into a handful of
+// min-checks. Pruning never skips a dominator, so output is bit-identical
+// with and without the index.
 size_t SoAMaskAnyDominated(const Coord* base, size_t stride, uint32_t dim,
                            size_t begin, size_t end, const Coord* filt,
                            size_t filt_stride, size_t filt_size,
@@ -157,14 +160,16 @@ struct MaskFilterIndex {
 
   // True iff some filter point strictly dominates `p`: the min-pruned
   // mask probe for one point (a row-major point is a one-row SoA block of
-  // stride 1), for callers outside the mask wave.
+  // stride 1), for callers outside the mask wave. A lone row has no group
+  // to amortize the column-wise orientation over, so it always takes the
+  // row-wise kernel, whatever the filter's size.
   bool AnyDominates(std::span<const Coord> p) const {
     ZSKY_DCHECK(p.size() == block.dim());
     const simd::MaskFilterPruning prune = pruning();
     uint8_t dominated = 0;
-    SoAMaskAnyDominated(p.data(), 1, block.dim(), 0, 1, block.lanes(),
-                        block.lane_stride(), block.size(), &prune,
-                        &dominated);
+    simd::ActiveKernelTable().mask_any_dominated(
+        p.data(), 1, block.dim(), 0, 1, block.lanes(), block.lane_stride(),
+        block.size(), &prune, &dominated);
     return dominated != 0;
   }
 

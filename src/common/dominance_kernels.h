@@ -6,7 +6,7 @@
 #include "common/cpu.h"
 #include "common/point_set.h"
 
-// Per-ISA implementations of the three block dominance primitives and the
+// Per-ISA implementations of the block dominance primitives and the
 // function-pointer table the public SoA* wrappers (dominance_block.h)
 // dispatch through. Each ISA lives in its own translation unit so the
 // vector variants can be compiled with -msse4.2 / -mavx2 without those
@@ -83,11 +83,45 @@ using MaskAnyDominatedFn = size_t (*)(const Coord* base, size_t stride,
 inline constexpr size_t kMaskTilePoints = 8;
 inline constexpr size_t kMaskTilesPerSuper = 8;
 
+// The mask kernel comes in two orientations per tier, and
+// SoAMaskAnyDominated picks one by filter size and dimensionality:
+//
+//   row-wise     (mask_any_dominated) one wave row at a time: gather the
+//                row, min-check supertiles and tiles, scan the qualifying
+//                tiles until the first dominator. Its fixed cost per row
+//                (a gather plus the min-checks) pays off on large
+//                filters, where pruning skips most tiles.
+//   column-wise  (mask_any_dominated_columnwise) one group of rows at a
+//                time (8 on AVX2, 4 on SSE4.2, a 128-row tile on the
+//                scalar tier), loaded straight from the SoA columns; the
+//                filter points stream past as broadcasts, their dominance
+//                masks are OR-ed, and the group stops once every row is
+//                dominated. No per-row setup, so it wins while the filter
+//                is small; it ignores `pruning`.
+//
+// Filters of at most kMaskColumnwiseMaxFilter points in at most
+// kMaskColumnwiseMaxDim dimensions take the column-wise orientation. The
+// crossover comes from bench_simd's mask sweep (512k rows at
+// kMaskColumnwiseMaxDim, filters cut from sample skylines, `mask_sweep`
+// in BENCH_simd.json): up to 1024 points the column-wise kernel was at
+// least 20% faster on correlated, independent and anticorrelated rows; at
+// 1536 independent rows it led by only ~14%, and from 3072 on it was
+// slower there (still faster on anticorrelated rows). The sweep measures
+// one dimensionality, so wider points keep the row-wise kernel: the
+// column-wise one does `dim` compares per (row, filter point) pair with no
+// per-dimension exit and no pruning, while the row-wise min-checks get
+// sharper as dimensions are added, and above kMaxVectorDim the column-wise
+// kernel is the scalar tier's. Both orientations give bit-identical
+// masks, so these constants move cost, never answers.
+inline constexpr size_t kMaskColumnwiseMaxFilter = 1024;
+inline constexpr uint32_t kMaskColumnwiseMaxDim = 8;
+
 struct KernelTable {
   AnyDominatesFn any_dominates;
   CountDominatorsFn count_dominators;
   MarkDominatedByFn mark_dominated_by;
   MaskAnyDominatedFn mask_any_dominated;
+  MaskAnyDominatedFn mask_any_dominated_columnwise;
 };
 
 // The table for one tier (for tests/benches that pin a tier in-process).
@@ -114,6 +148,10 @@ size_t MaskAnyDominatedScalar(const Coord* base, size_t stride, uint32_t dim,
                               size_t filt_stride, size_t filt_size,
                               const MaskFilterPruning* pruning,
                               uint8_t* out);
+size_t MaskAnyDominatedColumnwiseScalar(
+    const Coord* base, size_t stride, uint32_t dim, size_t begin,
+    size_t end, const Coord* filt, size_t filt_stride, size_t filt_size,
+    const MaskFilterPruning* pruning, uint8_t* out);
 
 bool AnyDominatesSse42(const Coord* base, size_t stride, uint32_t dim,
                        size_t begin, size_t end, const Coord* p);
@@ -127,6 +165,10 @@ size_t MaskAnyDominatedSse42(const Coord* base, size_t stride, uint32_t dim,
                              size_t filt_stride, size_t filt_size,
                              const MaskFilterPruning* pruning,
                              uint8_t* out);
+size_t MaskAnyDominatedColumnwiseSse42(
+    const Coord* base, size_t stride, uint32_t dim, size_t begin,
+    size_t end, const Coord* filt, size_t filt_stride, size_t filt_size,
+    const MaskFilterPruning* pruning, uint8_t* out);
 
 bool AnyDominatesAvx2(const Coord* base, size_t stride, uint32_t dim,
                       size_t begin, size_t end, const Coord* p);
@@ -140,6 +182,10 @@ size_t MaskAnyDominatedAvx2(const Coord* base, size_t stride, uint32_t dim,
                             size_t filt_stride, size_t filt_size,
                             const MaskFilterPruning* pruning,
                             uint8_t* out);
+size_t MaskAnyDominatedColumnwiseAvx2(
+    const Coord* base, size_t stride, uint32_t dim, size_t begin,
+    size_t end, const Coord* filt, size_t filt_stride, size_t filt_size,
+    const MaskFilterPruning* pruning, uint8_t* out);
 
 }  // namespace zsky::simd
 

@@ -145,10 +145,14 @@ size_t MaskAnyDominatedAvx2(const Coord* base, size_t stride, uint32_t dim,
   // vector op, then the 8 tiles of each qualifying supertile get one more
   // vector min-check, and only tiles whose min is <= the row in every
   // dimension get their points scanned.
-  // The alternative orientation (pin an 8-row wave group in registers and
-  // stream filter points past it with set1 broadcasts) does ~dim× more
-  // vector work per (row, filter) pair and can only exit once ALL eight
-  // rows are dominated; it measured ~3× slower end to end.
+  // The column-wise orientation (MaskAnyDominatedColumnwiseAvx2: pin an
+  // 8-row wave group in registers and stream filter points past it as
+  // broadcasts) does ~dim× more vector work per (row, filter) pair and
+  // can only exit once ALL eight rows are dominated. On large filters,
+  // where pruning skips most tiles, that measured ~3× slower end to end;
+  // on small ones in few dimensions it skips this path's per-row setup
+  // and wins, hence the kMaskColumnwiseMaxFilter and kMaskColumnwiseMaxDim
+  // dispatch in SoAMaskAnyDominated.
   static_assert(kMaskTilesPerSuper == 8,
                 "supertile tile group must fill one __m256i");
   Coord row[kMaxVectorDim];
@@ -225,6 +229,93 @@ size_t MaskAnyDominatedAvx2(const Coord* base, size_t stride, uint32_t dim,
   return count;
 }
 
+size_t MaskAnyDominatedColumnwiseAvx2(
+    const Coord* base, size_t stride, uint32_t dim, size_t begin,
+    size_t end, const Coord* filt, size_t filt_stride, size_t filt_size,
+    const MaskFilterPruning* pruning, uint8_t* out) {
+  if (dim > kMaxVectorDim) {
+    return MaskAnyDominatedColumnwiseScalar(base, stride, dim, begin, end,
+                                            filt, filt_stride, filt_size,
+                                            pruning, out);
+  }
+  // Column-wise orientation (see dominance_kernels.h): 8 wave rows sit in
+  // registers, one vector per dimension, and the filter points are
+  // broadcast past them two at a time, which keeps two independent
+  // compare chains in flight. Unsigned compares need no sign flip:
+  // q <= row  <=>  min(q, row) == q. The dimension loop runs without early
+  // exits: a data-dependent branch per dimension mispredicts more often
+  // than it saves, so each pair costs one branch, taken only when some
+  // open lane is >= a point on every dimension.
+  __m256i rows[kMaxVectorDim];
+  const __m256i ones = _mm256_set1_epi32(-1);
+  const __m256i lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  // Lanes whose row equals filter point j on every dimension: q <= row
+  // there, yet q does not strictly dominate the row.
+  auto equal_lanes = [&](size_t j) {
+    __m256i eq = ones;
+    for (uint32_t k = 0; k < dim; ++k) {
+      const __m256i q =
+          _mm256_set1_epi32(static_cast<int32_t>(filt[k * filt_stride + j]));
+      eq = _mm256_and_si256(eq, _mm256_cmpeq_epi32(q, rows[k]));
+    }
+    return eq;
+  };
+  size_t count = 0;
+  for (size_t at = begin; at < end; at += 8) {
+    const size_t m = std::min<size_t>(8, end - at);
+    // Lanes some filter point dominates so far. A row tail is padded to a
+    // full group whose padding lanes start out dominated, so they never
+    // keep the group open.
+    __m256i dom;
+    if (m == 8) {
+      for (uint32_t k = 0; k < dim; ++k) {
+        rows[k] = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(base + k * stride + at));
+      }
+      dom = _mm256_setzero_si256();
+    } else {
+      alignas(32) Coord lanes[8] = {};
+      for (uint32_t k = 0; k < dim; ++k) {
+        std::copy_n(base + k * stride + at, m, lanes);
+        rows[k] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes));
+      }
+      dom = _mm256_cmpgt_epi32(
+          lane_ids, _mm256_set1_epi32(static_cast<int32_t>(m) - 1));
+    }
+    for (size_t j0 = 0; j0 < filt_size; j0 += 2) {
+      // An odd filter's last step tests its last point twice.
+      const size_t j1 = std::min(j0 + 1, filt_size - 1);
+      // Open lanes whose row is >= q0 (resp. q1) on every dimension.
+      const __m256i open = _mm256_andnot_si256(dom, ones);
+      __m256i le0 = open;
+      __m256i le1 = open;
+      for (uint32_t k = 0; k < dim; ++k) {
+        const Coord* lane = filt + k * filt_stride;
+        const __m256i q0 = _mm256_set1_epi32(static_cast<int32_t>(lane[j0]));
+        const __m256i q1 = _mm256_set1_epi32(static_cast<int32_t>(lane[j1]));
+        le0 = _mm256_and_si256(
+            le0, _mm256_cmpeq_epi32(_mm256_min_epu32(q0, rows[k]), q0));
+        le1 = _mm256_and_si256(
+            le1, _mm256_cmpeq_epi32(_mm256_min_epu32(q1, rows[k]), q1));
+      }
+      const __m256i any = _mm256_or_si256(le0, le1);
+      if (_mm256_testz_si256(any, any)) continue;
+      dom = _mm256_or_si256(dom, _mm256_andnot_si256(equal_lanes(j0), le0));
+      dom = _mm256_or_si256(dom, _mm256_andnot_si256(equal_lanes(j1), le1));
+      if (_mm256_testc_si256(dom, ones)) break;
+    }
+    const uint32_t mask =
+        static_cast<uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(dom))) &
+        ((1u << m) - 1u);
+    uint8_t* slab = out + (at - begin);
+    for (size_t r = 0; r < m; ++r) {
+      slab[r] = static_cast<uint8_t>((mask >> r) & 1u);
+    }
+    count += static_cast<size_t>(std::popcount(mask));
+  }
+  return count;
+}
+
 }  // namespace zsky::simd
 
 #else  // !defined(__AVX2__)
@@ -253,6 +344,15 @@ size_t MaskAnyDominatedAvx2(const Coord* base, size_t stride, uint32_t dim,
                             const MaskFilterPruning* pruning, uint8_t* out) {
   return MaskAnyDominatedScalar(base, stride, dim, begin, end, filt,
                                 filt_stride, filt_size, pruning, out);
+}
+
+size_t MaskAnyDominatedColumnwiseAvx2(
+    const Coord* base, size_t stride, uint32_t dim, size_t begin,
+    size_t end, const Coord* filt, size_t filt_stride, size_t filt_size,
+    const MaskFilterPruning* pruning, uint8_t* out) {
+  return MaskAnyDominatedColumnwiseScalar(base, stride, dim, begin, end, filt,
+                                          filt_stride, filt_size, pruning,
+                                          out);
 }
 
 }  // namespace zsky::simd

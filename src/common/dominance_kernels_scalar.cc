@@ -158,4 +158,34 @@ size_t MaskAnyDominatedScalar(const Coord* base, size_t stride, uint32_t dim,
   return count;
 }
 
+size_t MaskAnyDominatedColumnwiseScalar(
+    const Coord* base, size_t stride, uint32_t dim, size_t begin,
+    size_t end, const Coord* filt, size_t filt_stride, size_t filt_size,
+    const MaskFilterPruning* /*pruning*/, uint8_t* out) {
+  // Column-wise orientation (see dominance_kernels.h): a tile of wave
+  // rows stays put while the filter points stream past, each one a
+  // MarkDominatedBy pass over the tile OR-ed into the tile's mask; the
+  // tile is done once every row is dominated.
+  std::vector<Coord> q(dim);
+  uint8_t hit[kDominanceTile];
+  size_t count = 0;
+  for (size_t at = begin; at < end; at += kDominanceTile) {
+    const size_t m = std::min(kDominanceTile, end - at);
+    uint8_t* dom = out + (at - begin);
+    std::fill_n(dom, m, uint8_t{0});
+    size_t hits = 0;
+    for (size_t j = 0; j < filt_size && hits < m; ++j) {
+      for (uint32_t k = 0; k < dim; ++k) q[k] = filt[k * filt_stride + j];
+      MarkDominatedByScalar(base, stride, dim, at, at + m, q.data(), hit);
+      hits = 0;
+      for (size_t r = 0; r < m; ++r) {
+        dom[r] |= hit[r];
+        hits += dom[r];
+      }
+    }
+    count += hits;
+  }
+  return count;
+}
+
 }  // namespace zsky::simd

@@ -221,6 +221,93 @@ size_t MaskAnyDominatedSse42(const Coord* base, size_t stride, uint32_t dim,
   return count;
 }
 
+size_t MaskAnyDominatedColumnwiseSse42(
+    const Coord* base, size_t stride, uint32_t dim, size_t begin,
+    size_t end, const Coord* filt, size_t filt_stride, size_t filt_size,
+    const MaskFilterPruning* pruning, uint8_t* out) {
+  if (dim > kMaxVectorDim) {
+    return MaskAnyDominatedColumnwiseScalar(base, stride, dim, begin, end,
+                                            filt, filt_stride, filt_size,
+                                            pruning, out);
+  }
+  // Column-wise orientation (see dominance_kernels.h): 4 wave rows sit in
+  // registers, one vector per dimension, and the filter points are
+  // broadcast past them two at a time, which keeps two independent
+  // compare chains in flight. Unsigned compares need no sign flip:
+  // q <= row  <=>  min(q, row) == q. The dimension loop runs without early
+  // exits: a data-dependent branch per dimension mispredicts more often
+  // than it saves, so each pair costs one branch, taken only when some
+  // open lane is >= a point on every dimension.
+  __m128i rows[kMaxVectorDim];
+  const __m128i ones = _mm_set1_epi32(-1);
+  const __m128i lane_ids = _mm_setr_epi32(0, 1, 2, 3);
+  // Lanes whose row equals filter point j on every dimension: q <= row
+  // there, yet q does not strictly dominate the row.
+  auto equal_lanes = [&](size_t j) {
+    __m128i eq = ones;
+    for (uint32_t k = 0; k < dim; ++k) {
+      const __m128i q =
+          _mm_set1_epi32(static_cast<int32_t>(filt[k * filt_stride + j]));
+      eq = _mm_and_si128(eq, _mm_cmpeq_epi32(q, rows[k]));
+    }
+    return eq;
+  };
+  size_t count = 0;
+  for (size_t at = begin; at < end; at += 4) {
+    const size_t m = std::min<size_t>(4, end - at);
+    // Lanes some filter point dominates so far. A row tail is padded to a
+    // full group whose padding lanes start out dominated, so they never
+    // keep the group open.
+    __m128i dom;
+    if (m == 4) {
+      for (uint32_t k = 0; k < dim; ++k) {
+        rows[k] = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(base + k * stride + at));
+      }
+      dom = _mm_setzero_si128();
+    } else {
+      alignas(16) Coord lanes[4] = {};
+      for (uint32_t k = 0; k < dim; ++k) {
+        std::copy_n(base + k * stride + at, m, lanes);
+        rows[k] = _mm_load_si128(reinterpret_cast<const __m128i*>(lanes));
+      }
+      dom = _mm_cmpgt_epi32(
+          lane_ids, _mm_set1_epi32(static_cast<int32_t>(m) - 1));
+    }
+    for (size_t j0 = 0; j0 < filt_size; j0 += 2) {
+      // An odd filter's last step tests its last point twice.
+      const size_t j1 = std::min(j0 + 1, filt_size - 1);
+      // Open lanes whose row is >= q0 (resp. q1) on every dimension.
+      const __m128i open = _mm_andnot_si128(dom, ones);
+      __m128i le0 = open;
+      __m128i le1 = open;
+      for (uint32_t k = 0; k < dim; ++k) {
+        const Coord* lane = filt + k * filt_stride;
+        const __m128i q0 = _mm_set1_epi32(static_cast<int32_t>(lane[j0]));
+        const __m128i q1 = _mm_set1_epi32(static_cast<int32_t>(lane[j1]));
+        le0 = _mm_and_si128(
+            le0, _mm_cmpeq_epi32(_mm_min_epu32(q0, rows[k]), q0));
+        le1 = _mm_and_si128(
+            le1, _mm_cmpeq_epi32(_mm_min_epu32(q1, rows[k]), q1));
+      }
+      const __m128i any = _mm_or_si128(le0, le1);
+      if (_mm_testz_si128(any, any)) continue;
+      dom = _mm_or_si128(dom, _mm_andnot_si128(equal_lanes(j0), le0));
+      dom = _mm_or_si128(dom, _mm_andnot_si128(equal_lanes(j1), le1));
+      if (_mm_testc_si128(dom, ones)) break;
+    }
+    const uint32_t mask =
+        static_cast<uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(dom))) &
+        ((1u << m) - 1u);
+    uint8_t* slab = out + (at - begin);
+    for (size_t r = 0; r < m; ++r) {
+      slab[r] = static_cast<uint8_t>((mask >> r) & 1u);
+    }
+    count += static_cast<size_t>(std::popcount(mask));
+  }
+  return count;
+}
+
 }  // namespace zsky::simd
 
 #else  // !defined(__SSE4_2__)
@@ -249,6 +336,15 @@ size_t MaskAnyDominatedSse42(const Coord* base, size_t stride, uint32_t dim,
                              const MaskFilterPruning* pruning, uint8_t* out) {
   return MaskAnyDominatedScalar(base, stride, dim, begin, end, filt,
                                 filt_stride, filt_size, pruning, out);
+}
+
+size_t MaskAnyDominatedColumnwiseSse42(
+    const Coord* base, size_t stride, uint32_t dim, size_t begin,
+    size_t end, const Coord* filt, size_t filt_stride, size_t filt_size,
+    const MaskFilterPruning* pruning, uint8_t* out) {
+  return MaskAnyDominatedColumnwiseScalar(base, stride, dim, begin, end, filt,
+                                          filt_stride, filt_size, pruning,
+                                          out);
 }
 
 }  // namespace zsky::simd

@@ -227,11 +227,9 @@ PreparedPlan PreparePlan(const DatasetView& points,
   {
     ZSKY_TRACE_SPAN_ARGS(
         "plan.sample", "{\"target\":" + std::to_string(sample_target) + "}");
-    // Inlined ReservoirSample, keeping the sampled row ids: identical rng
-    // consumption and gather order, so the sample (and every artifact
-    // derived from it) is bit-identical to the pre-sample_rows build.
+    // ReservoirSample, inlined to keep the sampled row ids (ascending)
+    // for PatchPlanForDeletes.
     plan.sample_rows = ReservoirSampleIndices(n, sample_target, rng);
-    std::sort(plan.sample_rows.begin(), plan.sample_rows.end());
     plan.sample = points.Gather(plan.sample_rows);
   }
 
@@ -280,7 +278,7 @@ std::shared_ptr<const PreparedPlan> PatchPlanForDeletes(
     // caller's contract): draw an emergency sample from the first alive
     // rows so the partitioner and filter never go missing while data
     // remains. Not statistically uniform — merely sound — and the next
-    // merge replaces it with a real reservoir pass.
+    // merge replaces it with a real uniform sample.
     constexpr size_t kEmergencySampleRows = 256;
     for (size_t r = 0;
          r < base_alive.size() &&

@@ -181,8 +181,8 @@ struct PreparedPlan {
 //
 // `points` is a DatasetView (heap PointSets convert implicitly), so the
 // build works unchanged over an mmap'd columnar dataset (io/columnar.h):
-// only the reservoir sample is ever materialized — the build streams row
-// indices, never the dataset.
+// only the sample is ever materialized — the build draws row indices
+// (O(sample), see sample/reservoir.h), never scans the dataset.
 PreparedPlan PreparePlan(const DatasetView& points,
                          const ExecutorOptions& options);
 

@@ -10,9 +10,12 @@
 
 namespace zsky {
 
-// Reservoir sampling (Algorithm R): draws a uniform sample of `k` row
-// indices from a stream of `n` rows in one pass. This is the paper's
-// preprocessing sampler (Section 5.1).
+// The paper's preprocessing sampler (Section 5.1): a uniform sample of
+// `k` distinct row indices out of `n`, in ascending order; every row when
+// k >= n. The paper reservoir-samples a stream (Algorithm R, one draw per
+// row); the row count of a dataset is known up front here, so this draws
+// the same uniform sample without replacement with Floyd's algorithm: k
+// draws, O(k) memory, integer arithmetic only.
 std::vector<uint32_t> ReservoirSampleIndices(size_t n, size_t k, Rng& rng);
 
 // Convenience: gathers a uniform sample of `k` points from `points`.

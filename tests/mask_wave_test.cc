@@ -21,6 +21,7 @@
 #include "gen/synthetic.h"
 #include "io/columnar.h"
 #include "mapreduce/worker_pool.h"
+#include "mask_kernel_cases.h"
 
 namespace zsky {
 namespace {
@@ -44,79 +45,67 @@ class ScopedIsa {
 };
 
 // --- The SoA mask kernel itself, against a scalar Dominates oracle, on
-// every tier the host supports. The kernel's early exits (per-filter
-// testz, all-dominated group break) must never change the answer.
+// every tier the host supports, through SoAMaskAnyDominated — the entry
+// the map wave calls, which picks the column-wise or the row-wise
+// orientation by filter size. The kernels' early exits (all-dominated
+// groups, min-pruned tiles) and row tails must never change the answer.
 TEST(ColumnarDirectKernelTest, MaskMatchesDominatesOracleAcrossTiers) {
-  std::mt19937 rng(7);
-  for (const uint32_t dim : {1u, 2u, 4u, 7u, 8u}) {
-    const size_t n = 1000;
-    const size_t stride = n + 13;  // Deliberately != n: stride is honored.
-    std::vector<Coord> soa(stride * dim, 0);
-    std::uniform_int_distribution<Coord> coord(0, 63);
-    for (uint32_t k = 0; k < dim; ++k) {
-      for (size_t i = 0; i < n; ++i) soa[k * stride + i] = coord(rng);
-    }
-    DominanceBlock filt(dim);
-    std::vector<Coord> fbuf(dim);
-    for (size_t f = 0; f < 37; ++f) {
-      for (uint32_t k = 0; k < dim; ++k) fbuf[k] = coord(rng);
-      filt.Append(fbuf);
-    }
-    // Row-major copies for the oracle.
-    auto row_of = [&](size_t i, std::vector<Coord>& out) {
-      out.resize(dim);
-      for (uint32_t k = 0; k < dim; ++k) out[k] = soa[k * stride + i];
-    };
-    const size_t begin = 3, end = n - 5;
-    std::vector<uint8_t> expect(end - begin, 0);
-    size_t expect_count = 0;
-    std::vector<Coord> r(dim), fr(dim);
-    for (size_t i = begin; i < end; ++i) {
-      row_of(i, r);
-      for (size_t f = 0; f < filt.size(); ++f) {
-        filt.CopyPoint(f, fr);
-        if (Dominates(fr, r)) {
-          expect[i - begin] = 1;
-          ++expect_count;
-          break;
-        }
-      }
-    }
-    const MaskFilterIndex index(filt);
-    ScopedIsa guard;
-    for (const Isa isa : {Isa::kScalar, Isa::kSse42, Isa::kAvx2}) {
-      if (!IsaSupported(isa)) continue;
-      SetActiveIsa(isa);
-      std::vector<uint8_t> mask(end - begin, 0xCC);
-      const size_t count =
-          SoAMaskAnyDominated(soa.data(), stride, dim, begin, end,
-                              filt.lanes(), filt.lane_stride(), filt.size(),
-                              nullptr, mask.data());
-      EXPECT_EQ(count, expect_count) << IsaName(isa) << " dim " << dim;
-      EXPECT_EQ(mask, expect) << IsaName(isa) << " dim " << dim;
-      // The min-pruned index (Morton-reordered copy + tile and supertile
-      // minima) must answer identically to the plain full scan.
-      std::vector<uint8_t> pruned(end - begin, 0xCC);
+  ScopedIsa guard;
+  for (const uint32_t dim : mask_cases::Dims()) {
+    for (const size_t filt_size : mask_cases::FilterSizes()) {
+      const mask_cases::MaskCase c =
+          mask_cases::MakeCase(dim, filt_size, dim * 7919 + filt_size);
+      // Every case mixes dominated and undominated rows.
+      ASSERT_GT(c.ExpectCount(0, mask_cases::kRows), 0u);
+      ASSERT_LT(c.ExpectCount(0, mask_cases::kRows), mask_cases::kRows);
+      const MaskFilterIndex index(c.filter);
       const simd::MaskFilterPruning pruning = index.pruning();
-      const size_t pruned_count = SoAMaskAnyDominated(
-          soa.data(), stride, dim, begin, end, index.block.lanes(),
-          index.block.lane_stride(), index.block.size(), &pruning,
-          pruned.data());
-      EXPECT_EQ(pruned_count, expect_count) << IsaName(isa) << " dim " << dim;
-      EXPECT_EQ(pruned, expect) << IsaName(isa) << " dim " << dim;
-      // The single-point probe is the same pruned kernel over one row.
-      for (size_t i = begin; i < end; ++i) {
-        row_of(i, r);
-        ASSERT_EQ(index.AnyDominates(r), expect[i - begin] != 0)
-            << IsaName(isa) << " dim " << dim << " row " << i;
+      for (const Isa isa : {Isa::kScalar, Isa::kSse42, Isa::kAvx2}) {
+        if (!IsaSupported(isa)) continue;
+        SetActiveIsa(isa);
+        for (const auto& [begin, end] : mask_cases::Ranges()) {
+          const std::string label = std::string(IsaName(isa)) + " dim " +
+                                    std::to_string(dim) + " filter " +
+                                    std::to_string(filt_size) + " rows [" +
+                                    std::to_string(begin) + ", " +
+                                    std::to_string(end) + ")";
+          const std::vector<uint8_t> expect = c.Expect(begin, end);
+          std::vector<uint8_t> mask(end - begin, 0xCC);
+          EXPECT_EQ(SoAMaskAnyDominated(c.soa.data(), c.stride, dim, begin,
+                                        end, c.filter.lanes(),
+                                        c.filter.lane_stride(),
+                                        c.filter.size(), nullptr, mask.data()),
+                    c.ExpectCount(begin, end))
+              << label;
+          EXPECT_EQ(mask, expect) << label;
+          // The min-pruned index (Morton-reordered copy + tile and
+          // supertile minima) must answer identically to the plain scan.
+          std::vector<uint8_t> pruned(end - begin, 0xCC);
+          EXPECT_EQ(SoAMaskAnyDominated(c.soa.data(), c.stride, dim, begin,
+                                        end, index.block.lanes(),
+                                        index.block.lane_stride(),
+                                        index.size(), &pruning,
+                                        pruned.data()),
+                    c.ExpectCount(begin, end))
+              << label;
+          EXPECT_EQ(pruned, expect) << label;
+        }
+        // The single-point probe is the row-wise pruned kernel over one
+        // row, whatever the filter's size.
+        for (size_t i = 0; i < mask_cases::kRows; ++i) {
+          ASSERT_EQ(index.AnyDominates(c.Row(i)), c.dominated[i] != 0)
+              << IsaName(isa) << " dim " << dim << " filter " << filt_size
+              << " row " << i;
+        }
+        // Empty filter leaves the mask all-zero.
+        std::vector<uint8_t> none(mask_cases::kRows, 0xCC);
+        EXPECT_EQ(SoAMaskAnyDominated(c.soa.data(), c.stride, dim, 0,
+                                      mask_cases::kRows, c.filter.lanes(),
+                                      c.filter.lane_stride(), 0, nullptr,
+                                      none.data()),
+                  0u);
+        EXPECT_EQ(none, std::vector<uint8_t>(mask_cases::kRows, 0));
       }
-      // Empty filter leaves the mask all-zero.
-      std::vector<uint8_t> none(end - begin, 0xCC);
-      EXPECT_EQ(SoAMaskAnyDominated(soa.data(), stride, dim, begin, end,
-                                    filt.lanes(), filt.lane_stride(), 0,
-                                    nullptr, none.data()),
-                0u);
-      EXPECT_EQ(none, std::vector<uint8_t>(end - begin, 0));
     }
   }
 }

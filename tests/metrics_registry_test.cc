@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/quantizer.h"
 #include "core/executor.h"
+#include "core/query_service.h"
 #include "gen/synthetic.h"
 #include "mapreduce/worker_pool.h"
 
@@ -197,6 +201,66 @@ TEST(RegistryInvarianceTest, WorkCountersIndependentOfScheduling) {
     // Latency histograms are schedule-dependent in their values but not
     // in how many samples they hold (one per task).
     EXPECT_EQ(snap.map_task_count, baseline.map_task_count) << label;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The instrument catalog in docs/observability.md names every counter and
+// histogram the pipeline and the service create.
+
+TEST(RegistryCatalogTest, EveryInstrumentIsDocumented) {
+  std::ifstream doc(ZSKY_OBSERVABILITY_DOC);
+  ASSERT_TRUE(doc.good()) << ZSKY_OBSERVABILITY_DOC;
+  const std::string catalog((std::istreambuf_iterator<char>(doc)),
+                            std::istreambuf_iterator<char>());
+
+  const PointSet points = GenerateQuantized(Distribution::kAnticorrelated,
+                                            3'000, 4, 11, Quantizer(10));
+  ExecutorOptions options;
+  options.bits = 10;
+  options.num_groups = 4;
+  options.num_threads = 2;
+  // A pipeline query.
+  ParallelSkylineExecutor(options).Execute(points);
+
+  // A service with adaptive planning that replans after every query, then
+  // an insert, a delete of skyline and sample rows (band repair and plan
+  // patch), an overlay read and a merge.
+  QueryServiceOptions service_options;
+  service_options.executor = options;
+  service_options.adaptive_planning = true;
+  service_options.replan_threshold = 0.0;
+  QueryService service(service_options, points);
+  const SkylineQueryResult first = service.Query();
+  ASSERT_FALSE(first.skyline.empty());
+  service.Query();
+  PointSet batch(4);
+  batch.Append(std::vector<Coord>{1023, 1023, 1023, 1023});  // Dominated.
+  batch.Append(std::vector<Coord>{0, 0, 0, 0});  // Dominates every row.
+  ASSERT_TRUE(service.Insert(batch).ok);
+  std::vector<uint32_t> doomed(first.skyline.begin(),
+                               first.skyline.begin() + 2);
+  for (uint32_t id = 0; id < 300; ++id) doomed.push_back(id);
+  ASSERT_TRUE(service.Delete(doomed).ok);
+  service.Query();
+  ASSERT_TRUE(service.Merge());
+  service.Query();
+
+  const MetricsRegistry& registry = MetricsRegistry::Global();
+  std::vector<std::string> names;
+  for (const auto& c : registry.counters()) names.push_back(c.name);
+  for (const auto& h : registry.histograms()) names.push_back(h.name);
+  for (const char* exercised :
+       {"delta_buffer_rows", "delta_deletes", "delta_inserts",
+        "fast_path_inserts", "plan_patches", "plan_patch_us", "plan_replans",
+        "repair_partitions", "zmerge_points_tested",
+        "zmerge_subtrees_discarded"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), exercised), names.end())
+        << exercised << " was not created by this run";
+  }
+  for (const std::string& name : names) {
+    EXPECT_NE(catalog.find("`" + name + "`"), std::string::npos)
+        << name << " is missing from docs/observability.md";
   }
 }
 

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "core/executor.h"
 #include "gen/synthetic.h"
+#include "mask_kernel_cases.h"
 #include "zorder/zorder_codec.h"
 
 namespace zsky {
@@ -152,6 +153,54 @@ TEST(KernelIsaParityTest, SubrangeScansAgree) {
           EXPECT_EQ(
               table.count_dominators(soa.data(), n, dim, begin, end, p),
               scalar.count_dominators(soa.data(), n, dim, begin, end, p));
+        }
+      }
+    }
+  }
+}
+
+// Both orientations of the SZB mask kernel, called straight from every
+// tier's table (so each is covered on both sides of the size crossover
+// SoAMaskAnyDominated applies), must match the per-pair Dominates oracle
+// bit for bit: the row-wise kernel with and without min-pruning, the
+// column-wise kernel (which ignores the pruning descriptor) with both.
+TEST(KernelIsaParityTest, MaskOrientationsMatchOracle) {
+  for (const uint32_t dim : mask_cases::Dims()) {
+    for (const size_t filt_size : mask_cases::FilterSizes()) {
+      const mask_cases::MaskCase c =
+          mask_cases::MakeCase(dim, filt_size, dim * 104729 + filt_size);
+      const MaskFilterIndex index(c.filter);
+      const simd::MaskFilterPruning pruning = index.pruning();
+      for (Isa isa : SupportedIsas()) {
+        const auto& table = simd::KernelTableFor(isa);
+        const struct {
+          const char* name;
+          simd::MaskAnyDominatedFn kernel;
+          bool pruned;
+        } runs[] = {{"row-wise", table.mask_any_dominated, false},
+                    {"row-wise pruned", table.mask_any_dominated, true},
+                    {"column-wise", table.mask_any_dominated_columnwise,
+                     false},
+                    {"column-wise pruned",
+                     table.mask_any_dominated_columnwise, true}};
+        for (const auto& run : runs) {
+          // The pruned runs probe the index's Morton-ordered copy.
+          const DominanceBlock& filt = run.pruned ? index.block : c.filter;
+          for (const auto& [begin, end] : mask_cases::Ranges()) {
+            std::vector<uint8_t> mask(end - begin, 0xCC);
+            const size_t count = run.kernel(
+                c.soa.data(), c.stride, dim, begin, end, filt.lanes(),
+                filt.lane_stride(), filt.size(),
+                run.pruned ? &pruning : nullptr, mask.data());
+            EXPECT_EQ(count, c.ExpectCount(begin, end))
+                << IsaName(isa) << " " << run.name << " dim=" << dim
+                << " filter=" << filt_size << " rows=[" << begin << ", "
+                << end << ")";
+            EXPECT_EQ(mask, c.Expect(begin, end))
+                << IsaName(isa) << " " << run.name << " dim=" << dim
+                << " filter=" << filt_size << " rows=[" << begin << ", "
+                << end << ")";
+          }
         }
       }
     }
